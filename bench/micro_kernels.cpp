@@ -10,10 +10,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "cluster/kmeans.hpp"
 #include "quant/codec.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 #include "vecstore/distance.hpp"
 #include "vecstore/matrix.hpp"
 #include "vecstore/simd_dispatch.hpp"
@@ -417,6 +419,38 @@ BM_KMeansAssign(benchmark::State &state)
                             4096);
 }
 BENCHMARK(BM_KMeansAssign);
+
+/**
+ * Full k-means (seeding + a fixed 10 Lloyd iterations) on rows x 384.
+ * Args: rows, k, threads. threads = 1 runs without a pool (the fused
+ * single-pass loop IvfIndex::train uses); more threads hand kmeans() a
+ * pool of that size (the split loop DistributedStore::build uses).
+ */
+void
+BM_KMeansLloyd(benchmark::State &state)
+{
+    const auto rows = static_cast<std::size_t>(state.range(0));
+    const auto threads = static_cast<std::size_t>(state.range(2));
+    auto data = randomMatrix(rows, 384, 8);
+    cluster::KMeansConfig config;
+    config.k = static_cast<std::size_t>(state.range(1));
+    config.max_iterations = 10;
+    config.tolerance = 0.0; // never stop early: fixed work per run
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 1)
+        pool = std::make_unique<util::ThreadPool>(threads);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cluster::kmeans(data, config, pool.get()));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(rows) * 10);
+}
+BENCHMARK(BM_KMeansLloyd)
+    ->ArgNames({"rows", "k", "threads"})
+    ->Args({6000, 16, 1})  // IvfIndex::train shape
+    ->Args({60000, 10, 1}) // datastore partition, serial
+    ->Args({60000, 10, 4}) // datastore partition, pooled
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/logging.hpp"
+#include "util/threadpool.hpp"
 
 namespace hermes {
 namespace cluster {
@@ -47,7 +48,7 @@ imbalance(const std::vector<std::size_t> &sizes)
 SeedSearchResult
 findBalancedSeed(const vecstore::Matrix &data, std::size_t k,
                  std::size_t num_seeds, std::uint64_t base_seed,
-                 double sample_fraction)
+                 double sample_fraction, util::ThreadPool *pool)
 {
     HERMES_ASSERT(num_seeds >= 1, "need at least one candidate seed");
     HERMES_ASSERT(sample_fraction > 0.0 && sample_fraction <= 1.0,
@@ -58,11 +59,11 @@ findBalancedSeed(const vecstore::Matrix &data, std::size_t k,
     sample_points = std::max(sample_points, k * 8);
     sample_points = std::min(sample_points, data.rows());
 
+    // Each candidate is an independent seeded run on its own subsample,
+    // writing only its own slot.
     SeedSearchResult result;
-    result.best_ratio = std::numeric_limits<double>::infinity();
-    result.all_ratios.reserve(num_seeds);
-
-    for (std::size_t i = 0; i < num_seeds; ++i) {
+    result.all_ratios.assign(num_seeds, 0.0);
+    auto trySeed = [&](std::size_t i) {
         KMeansConfig config;
         config.k = k;
         config.seed = base_seed + i;
@@ -70,12 +71,22 @@ findBalancedSeed(const vecstore::Matrix &data, std::size_t k,
         // Short runs suffice: we only need the *relative* imbalance of the
         // converged basin each seed falls into.
         config.max_iterations = 10;
-        auto run = kmeans(data, config);
-        double ratio = imbalance(run.sizes).max_min_ratio;
-        result.all_ratios.push_back(ratio);
-        if (ratio < result.best_ratio) {
-            result.best_ratio = ratio;
-            result.best_seed = config.seed;
+        result.all_ratios[i] = imbalance(kmeans(data, config).sizes)
+                                   .max_min_ratio;
+    };
+    if (pool != nullptr) {
+        pool->parallelFor(num_seeds, trySeed);
+    } else {
+        for (std::size_t i = 0; i < num_seeds; ++i)
+            trySeed(i);
+    }
+
+    // Lowest ratio wins; ties go to the earlier seed.
+    result.best_ratio = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < num_seeds; ++i) {
+        if (result.all_ratios[i] < result.best_ratio) {
+            result.best_ratio = result.all_ratios[i];
+            result.best_seed = base_seed + i;
         }
     }
     return result;

@@ -58,12 +58,15 @@ struct SeedSearchResult
  * @param num_seeds  Seeds to evaluate (seed values are base_seed + i).
  * @param base_seed  First candidate seed.
  * @param sample_fraction Fraction of rows used per trial (paper: 1-2%).
+ * @param pool       Runs the candidates in parallel when non-null; the
+ *                   result is the same either way.
  */
 SeedSearchResult findBalancedSeed(const vecstore::Matrix &data,
                                   std::size_t k,
                                   std::size_t num_seeds,
                                   std::uint64_t base_seed,
-                                  double sample_fraction);
+                                  double sample_fraction,
+                                  util::ThreadPool *pool = nullptr);
 
 } // namespace cluster
 } // namespace hermes

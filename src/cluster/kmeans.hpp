@@ -72,8 +72,13 @@ struct KMeansResult
  * Empty clusters are repaired by splitting the largest cluster, matching
  * standard FAISS behaviour, so the result always has k non-degenerate
  * centroids when the input has >= k distinct points.
+ *
+ * When @p pool has more than one worker, seeding and the Lloyd passes run
+ * on it; every floating-point sum keeps its serial order, so the result
+ * has the same bits with or without a pool, for any worker count.
  */
-KMeansResult kmeans(const vecstore::Matrix &data, const KMeansConfig &config);
+KMeansResult kmeans(const vecstore::Matrix &data, const KMeansConfig &config,
+                    util::ThreadPool *pool = nullptr);
 
 /**
  * Assign each row of @p data to the nearest centroid (L2). When @p pool

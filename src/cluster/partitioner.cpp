@@ -54,7 +54,8 @@ computeMeans(const Matrix &data,
 }
 
 Partitioning
-partitionSimilarity(const Matrix &data, const PartitionConfig &config)
+partitionSimilarity(const Matrix &data, const PartitionConfig &config,
+                    util::ThreadPool *pool)
 {
     Partitioning out;
 
@@ -62,20 +63,20 @@ partitionSimilarity(const Matrix &data, const PartitionConfig &config)
     auto seed_search = findBalancedSeed(data, config.num_partitions,
                                         config.seeds_to_try,
                                         config.base_seed,
-                                        config.seed_sample_fraction);
+                                        config.seed_sample_fraction, pool);
     out.chosen_seed = seed_search.best_seed;
 
     KMeansConfig km;
     km.k = config.num_partitions;
     km.seed = seed_search.best_seed;
     km.max_iterations = config.max_iterations;
-    auto run = kmeans(data, km);
+    // No training subsample, so the final assignments cover every row.
+    auto run = kmeans(data, km, pool);
 
     out.centroids = std::move(run.centroids);
-    auto assignments = assignToCentroids(data, out.centroids);
     out.members.assign(config.num_partitions, {});
-    for (std::size_t i = 0; i < assignments.size(); ++i)
-        out.members[assignments[i]].push_back(i);
+    for (std::size_t i = 0; i < run.assignments.size(); ++i)
+        out.members[run.assignments[i]].push_back(i);
     out.imbalance = imbalance(out.sizes());
     return out;
 }
@@ -113,7 +114,8 @@ partitionContiguous(const Matrix &data, const PartitionConfig &config)
 } // namespace
 
 Partitioning
-partition(const Matrix &data, const PartitionConfig &config)
+partition(const Matrix &data, const PartitionConfig &config,
+          util::ThreadPool *pool)
 {
     HERMES_ASSERT(config.num_partitions >= 1,
                   "need at least one partition");
@@ -123,7 +125,7 @@ partition(const Matrix &data, const PartitionConfig &config)
 
     switch (config.scheme) {
       case PartitionScheme::Similarity:
-        return partitionSimilarity(data, config);
+        return partitionSimilarity(data, config, pool);
       case PartitionScheme::RoundRobin:
         return partitionRoundRobin(data, config);
       case PartitionScheme::Contiguous:

@@ -78,10 +78,13 @@ struct Partitioning
 };
 
 /**
- * Partition @p data into num_partitions pieces per @p config.
+ * Partition @p data into num_partitions pieces per @p config. With a
+ * @p pool, the similarity scheme's seed search and k-means run on it;
+ * the partitioning is the same either way.
  */
 Partitioning partition(const vecstore::Matrix &data,
-                       const PartitionConfig &config);
+                       const PartitionConfig &config,
+                       util::ThreadPool *pool = nullptr);
 
 } // namespace cluster
 } // namespace hermes

@@ -36,14 +36,15 @@ DistributedStore::build(const vecstore::Matrix &data,
     store.config_ = config;
     store.config_.partition.num_partitions = config.num_clusters;
 
-    store.partition_ = cluster::partition(data, store.config_.partition);
+    // Partitioning and per-cluster index construction are deterministic
+    // (seeded, with serial-order sums), so both parallelize across cores
+    // without changing the result.
+    util::ThreadPool pool;
+    store.partition_ =
+        cluster::partition(data, store.config_.partition, &pool);
     store.centroids_ = store.partition_.centroids;
 
-    // Per-cluster index construction is independent and deterministic
-    // (seeded per cluster), so it parallelizes across cores without
-    // changing the result.
     store.indices_.resize(config.num_clusters);
-    util::ThreadPool pool;
     pool.parallelFor(config.num_clusters, [&](std::size_t c) {
         const auto &members = store.partition_.members[c];
         HERMES_ASSERT(!members.empty(),

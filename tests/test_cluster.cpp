@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -13,6 +15,7 @@
 #include "cluster/kmeans.hpp"
 #include "cluster/partitioner.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -93,17 +96,145 @@ TEST(KMeans, ObjectiveImprovesOverSingleIteration)
     EXPECT_LE(kmeans(data, many).objective, kmeans(data, one).objective);
 }
 
-TEST(KMeans, DeterministicForFixedSeed)
+/** memcmp-equal matrices: same shape and the same bits in every cell. */
+void
+expectSameBits(const Matrix &a, const Matrix &b)
 {
-    auto data = blobs(40, 3, 6, 4);
-    KMeansConfig config;
-    config.k = 3;
-    config.seed = 99;
-    auto a = kmeans(data, config);
-    auto b = kmeans(data, config);
-    EXPECT_EQ(a.assignments, b.assignments);
-    EXPECT_DOUBLE_EQ(a.objective, b.objective);
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.dim(), b.dim());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          a.rows() * a.dim() * sizeof(float)),
+              0);
 }
+
+/**
+ * Two clusters split on dim 0 whose dim-1 sums depend on the order of
+ * the adds: in row order 1 + 2^58 - 2^58 cancels to 0, since the 1 is
+ * absorbed, while any other order can keep it.
+ */
+Matrix
+cancellingSums(std::size_t rows)
+{
+    const float pattern[3] = {1.f, std::ldexp(1.f, 58),
+                              -std::ldexp(1.f, 58)};
+    Matrix data(rows, 2);
+    for (std::size_t i = 0; i < rows; ++i) {
+        auto row = data.row(i);
+        row[0] = (i % 2) ? std::ldexp(1.f, 62) : 0.f;
+        row[1] = pattern[(i / 2) % 3];
+    }
+    return data;
+}
+
+/**
+ * A cluster of +-1 values and, every 900th row, one of 2^40 +- 2^27.
+ * Summed in row order the objective absorbs each distance near 1 that
+ * follows the first far row (distance 2^54); a sum that restarts from 0
+ * partway through keeps some of them.
+ */
+Matrix
+absorbedDistances(std::size_t rows)
+{
+    Matrix data(rows, 1);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const bool far = i % 900 == 0;
+        const float sign = (i / (far ? 900 : 1)) % 2 ? -1.f : 1.f;
+        data.row(i)[0] =
+            far ? std::ldexp(1.f, 40) + sign * std::ldexp(1.f, 27) : sign;
+    }
+    return data;
+}
+
+/** 3 distinct points, each repeated @p copies times. */
+Matrix
+threeDistinctPoints(std::size_t copies, std::size_t d)
+{
+    Matrix data(3 * copies, d);
+    for (std::size_t i = 0; i < data.rows(); ++i) {
+        auto row = data.row(i);
+        for (std::size_t j = 0; j < d; ++j)
+            row[j] = static_cast<float>((i % 3) * 5 + j);
+    }
+    return data;
+}
+
+/**
+ * A fixed seed gives the same bits on every run, with no pool (param 0)
+ * or a pool of GetParam() workers. A pool of one worker takes the fused
+ * Lloyd pass, larger pools the split one.
+ */
+class KMeansPool : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(KMeansPool, DeterministicForFixedSeed)
+{
+    std::unique_ptr<util::ThreadPool> pool;
+    if (GetParam() > 0)
+        pool = std::make_unique<util::ThreadPool>(GetParam());
+
+    struct Case
+    {
+        const char *name;
+        Matrix data;
+        KMeansConfig config;
+    };
+    std::vector<Case> cases;
+
+    KMeansConfig small_config;
+    small_config.k = 3;
+    small_config.seed = 99;
+    cases.push_back({"small", blobs(40, 3, 6, 4), small_config});
+
+    // Three 4096-row blocks, the last one partial.
+    KMeansConfig blob_config;
+    blob_config.k = 5;
+    blob_config.seed = 99;
+    cases.push_back({"blobs", blobs(3000, 3, 6, 4), blob_config});
+
+    KMeansConfig sub_config = blob_config;
+    sub_config.max_training_points = 5000;
+    cases.push_back({"subsampled", blobs(3000, 3, 6, 4), sub_config});
+
+    KMeansConfig uniform_config = blob_config;
+    uniform_config.use_kmeanspp = false;
+    cases.push_back({"uniform-seeding", blobs(3000, 3, 6, 4),
+                     uniform_config});
+
+    KMeansConfig two_config;
+    two_config.k = 2;
+    two_config.seed = 3;
+    cases.push_back({"cancelling-sums", cancellingSums(9000), two_config});
+    cases.push_back({"absorbed-distances", absorbedDistances(9000),
+                     two_config});
+
+    // k exceeds the distinct points: k-means++ hits its total <= 0
+    // fallback and every Lloyd iteration repairs empty clusters.
+    KMeansConfig dup_config;
+    dup_config.k = 6;
+    dup_config.seed = 5;
+    cases.push_back({"duplicates", threeDistinctPoints(1700, 8),
+                     dup_config});
+
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        auto serial = kmeans(c.data, c.config);
+        auto pooled = kmeans(c.data, c.config, pool.get());
+        expectSameBits(pooled.centroids, serial.centroids);
+        EXPECT_EQ(pooled.assignments, serial.assignments);
+        EXPECT_EQ(pooled.sizes, serial.sizes);
+        EXPECT_EQ(pooled.iterations, serial.iterations);
+        EXPECT_EQ(pooled.objective, serial.objective);
+    }
+
+    // The duplicate input leaves at least k - 3 clusters empty.
+    const auto &dup = cases.back();
+    auto run = kmeans(dup.data, dup.config, pool.get());
+    EXPECT_GE(std::count(run.sizes.begin(), run.sizes.end(), 0u), 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, KMeansPool,
+                         ::testing::Values(0u, 1u, 2u, 3u, 4u));
 
 TEST(KMeans, SubsampledTrainingStillCovers)
 {
@@ -184,6 +315,13 @@ TEST(Imbalance, SeedSearchPicksBestCandidate)
     EXPECT_DOUBLE_EQ(result.best_ratio, best);
     EXPECT_GE(result.best_seed, 100u);
     EXPECT_LT(result.best_seed, 106u);
+
+    // Candidates run in parallel on a pool: same ratios, same winner.
+    util::ThreadPool pool(3);
+    auto pooled = findBalancedSeed(corpus.embeddings, 6, 6, 100, 0.25,
+                                   &pool);
+    EXPECT_EQ(pooled.all_ratios, result.all_ratios);
+    EXPECT_EQ(pooled.best_seed, result.best_seed);
 }
 
 /** Every partition scheme covers each row exactly once. */
@@ -272,6 +410,27 @@ TEST(Partitioner, SimilarityImbalanceReflectsTopicSkew)
 
     EXPECT_GT(sim_parts.imbalance.max_min_ratio,
               rr_parts.imbalance.max_min_ratio);
+}
+
+TEST(Partitioner, PoolMatchesSerial)
+{
+    hermes::workload::CorpusConfig cc;
+    cc.num_docs = 9000;
+    cc.dim = 16;
+    cc.num_topics = 10;
+    cc.topic_zipf = 1.0;
+    cc.seed = 78;
+    auto corpus = hermes::workload::generateCorpus(cc);
+
+    PartitionConfig config;
+    config.num_partitions = 8;
+    config.seeds_to_try = 4;
+    util::ThreadPool pool(4);
+    auto serial = partition(corpus.embeddings, config);
+    auto pooled = partition(corpus.embeddings, config, &pool);
+    EXPECT_EQ(pooled.members, serial.members);
+    expectSameBits(pooled.centroids, serial.centroids);
+    EXPECT_EQ(pooled.chosen_seed, serial.chosen_seed);
 }
 
 } // namespace

@@ -132,7 +132,8 @@ main(int argc, char **argv)
         // fans encode work across the pool.
         config.validate();
         config.partition.num_partitions = config.num_clusters;
-        auto partition = cluster::partition(data, config.partition);
+        util::ThreadPool pool;
+        auto partition = cluster::partition(data, config.partition, &pool);
 
         data.save((dir / manifest.corpus_file).string());
         partition.centroids.save((dir / manifest.centroids_file).string());
@@ -144,7 +145,6 @@ main(int argc, char **argv)
             static_cast<std::size_t>(
                 std::max<long>(args.getInt("stream-budget-mb"), 1))
             << 20;
-        util::ThreadPool pool;
         std::uintmax_t index_bytes = 0;
         for (std::size_t c = 0; c < config.num_clusters; ++c) {
             const auto &members = partition.members[c];
