@@ -4,18 +4,9 @@
  * per cluster node), drives it with concurrent client threads, and prints
  * per-node load — the deployment shape of Fig 9 in miniature.
  *
- * Usage: serving_demo [num_docs] [clients] [queries_per_client]
- *                     [fail_prob] [drop_prob] [delay_ms]
- *                     [--metrics-json=PATH] [--metrics-prom=PATH]
- *                     [--metrics-interval=SECONDS]
- *                     [--trace-out=PATH] [--trace-sample=N]
- *                     [--http-port=PORT] [--duration=SECONDS]
- *                     [--batch-window-us=N] [--max-batch=N] [--dim=N]
- *                     [--nlist=N] [--remote-nodes=host:port,host:port,...]
- *                     [--replicate=c:r,...] [--auto-replicate=N]
- *                     [--auto-replicate-after=S] [--hedge=0|1]
- *                     [--deadline-ms=MS] [--perf=0|1]
- *                     [--index-dir=DIR] [--index-heap=0|1]
+ * Usage: see kUsage below (serving_demo --help prints it). Any other
+ * argument starting with "--" that is not a known option is rejected
+ * with the usage text and exit status 2.
  *
  * --index-dir=DIR loads the store from a hermes_build_index deployment
  * manifest instead of partitioning and training at startup — the
@@ -103,6 +94,21 @@
 #include "hermes/hermes.hpp"
 
 namespace {
+
+constexpr const char *kUsage =
+    "usage: serving_demo [num_docs] [clients] [queries_per_client]\n"
+    "                    [fail_prob] [drop_prob] [delay_ms]\n"
+    "                    [--metrics-json=PATH] [--metrics-prom=PATH]\n"
+    "                    [--metrics-interval=SECONDS]\n"
+    "                    [--trace-out=PATH] [--trace-sample=N]\n"
+    "                    [--http-port=PORT] [--duration=SECONDS]\n"
+    "                    [--batch-window-us=N] [--max-batch=N] [--dim=N]\n"
+    "                    [--nlist=N] "
+    "[--remote-nodes=host:port,host:port,...]\n"
+    "                    [--replicate=c:r,...] [--auto-replicate=N]\n"
+    "                    [--auto-replicate-after=S] [--hedge=0|1]\n"
+    "                    [--deadline-ms=MS] [--perf=0|1]\n"
+    "                    [--index-dir=DIR] [--index-heap=0|1]\n";
 
 /**
  * Split `--metrics-json=` / `--trace-out=` / `--trace-sample=` options out
@@ -205,7 +211,13 @@ main(int argc, char **argv)
             index_dir = v;
         else if (const char *v = matchOption(argv[i], "--index-heap"))
             index_heap = std::atoi(v) != 0;
-        else
+        else if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else if (std::strncmp(argv[i], "--", 2) == 0) {
+            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
+            return 2;
+        } else
             positional.push_back(argv[i]);
     }
     argc = static_cast<int>(positional.size());

@@ -231,15 +231,8 @@ HermesSearch::search(vecstore::VecView query, std::size_t k) const
     index::SearchParams params;
     params.nprobe = deep_nprobe_;
     std::vector<vecstore::HitList> partials;
-    std::size_t deep = std::min(clusters_to_search_, ranked.size());
-    double epsilon = store_.config().adaptive_epsilon;
-    if (epsilon > 0.0 && !ranked.empty()) {
-        float bound = adaptivePruneBound(ranked.front().first, epsilon);
-        std::size_t keep = 0;
-        while (keep < deep && ranked[keep].first <= bound)
-            ++keep;
-        deep = std::max<std::size_t>(keep, 1);
-    }
+    const std::size_t deep = deepClusterCount(
+        ranked, clusters_to_search_, store_.config().adaptive_epsilon);
     {
         obs::ScopedSpan span("core.deep");
         span.arg("clusters", static_cast<std::uint64_t>(deep));

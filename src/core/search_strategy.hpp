@@ -11,9 +11,12 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/distributed_store.hpp"
@@ -56,6 +59,27 @@ inline float
 adaptivePruneBound(float best, double epsilon)
 {
     return best + static_cast<float>(epsilon) * std::fabs(best);
+}
+
+/**
+ * The deep-search plan shared by HermesSearch and the serving broker: how
+ * many clusters of the best-first @p ranked list to deep-search. That is
+ * the first @p clusters_to_search (or all of them, if fewer); with
+ * adaptive pruning (@p epsilon > 0) only the prefix within
+ * adaptivePruneBound of the best, but never fewer than one.
+ */
+inline std::size_t
+deepClusterCount(const std::vector<std::pair<float, std::uint32_t>> &ranked,
+                 std::size_t clusters_to_search, double epsilon)
+{
+    const std::size_t deep = std::min(clusters_to_search, ranked.size());
+    if (epsilon <= 0.0 || ranked.empty())
+        return deep;
+    const float bound = adaptivePruneBound(ranked.front().first, epsilon);
+    std::size_t keep = 0;
+    while (keep < deep && ranked[keep].first <= bound)
+        ++keep;
+    return std::max<std::size_t>(keep, 1);
 }
 
 /** Abstract retrieval strategy. */

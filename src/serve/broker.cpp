@@ -1,6 +1,7 @@
 #include "serve/broker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -22,6 +23,9 @@ namespace serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** Poll period of a race between two live lanes. */
+constexpr std::chrono::microseconds kRacePoll{100};
 
 std::chrono::microseconds
 microsFromDouble(double us)
@@ -241,218 +245,157 @@ HermesBroker::pickSlot(const std::vector<ReplicaSlot> &slots) const
     return qj < qi ? j : i;
 }
 
-HermesBroker::NodeOutcome
-HermesBroker::collect(std::future<NodeResponse> future,
-                      const std::vector<ReplicaSlot> &slots,
-                      std::size_t primary_slot, vecstore::VecView query,
-                      std::size_t k, const index::SearchParams &params,
-                      std::uint64_t &timeouts,
-                      std::uint64_t &failures) const
+HermesBroker::Probe
+HermesBroker::submitProbe(const std::vector<ReplicaSlot> &slots,
+                          std::size_t slot, vecstore::VecView query,
+                          std::size_t k,
+                          const index::SearchParams &params) const
 {
-    NodeOutcome out;
-    for (std::size_t attempt = 0;; ++attempt) {
-        if (config_.node_deadline_ms > 0.0) {
-            auto status = future.wait_for(
-                std::chrono::duration<double, std::milli>(
-                    config_.node_deadline_ms));
-            if (status != std::future_status::ready) {
-                ++timeouts;
-                obs::instantEvent(
-                    "broker.timeout",
-                    {{"attempt", std::to_string(attempt + 1), true}});
-                HERMES_WARN("node request missed its ",
-                            config_.node_deadline_ms, " ms deadline "
-                            "(attempt ", attempt + 1, ")");
-                if (attempt < config_.max_retries) {
-                    obs::instantEvent("broker.retry");
-                    const std::size_t next =
-                        (primary_slot + attempt + 1) % slots.size();
-                    if (next != primary_slot)
-                        slots[next].routed->add(1);
-                    future = slots[next].node->submit(query, k, params);
-                    continue;
-                }
-                return out;
-            }
-        }
-        try {
-            out.response = future.get();
-            out.ok = true;
-            return out;
-        } catch (const std::exception &e) {
-            ++failures;
-            obs::instantEvent(
-                "broker.failure",
-                {{"attempt", std::to_string(attempt + 1), true}});
-            HERMES_WARN("node request failed: ", e.what(), " (attempt ",
-                        attempt + 1, ")");
-        } catch (...) {
-            ++failures;
-            obs::instantEvent(
-                "broker.failure",
-                {{"attempt", std::to_string(attempt + 1), true}});
-            HERMES_WARN("node request failed with a non-standard "
-                        "exception (attempt ", attempt + 1, ")");
-        }
-        if (attempt >= config_.max_retries)
-            return out;
-        obs::instantEvent("broker.retry");
-        // Retry on the next replica: with R = 1 this is the same node
-        // (the pre-replication behaviour); with R > 1 a dead replica's
-        // retries drain to its peers.
-        const std::size_t next =
-            (primary_slot + attempt + 1) % slots.size();
-        if (next != primary_slot)
-            slots[next].routed->add(1);
-        future = slots[next].node->submit(query, k, params);
-    }
+    Probe probe;
+    probe.slot = slot;
+    probe.submitted = Clock::now();
+    probe.future = slots[slot].node->submit(query, k, params);
+    return probe;
 }
 
 HermesBroker::NodeOutcome
-HermesBroker::collectHedged(std::future<NodeResponse> future,
-                            const std::vector<ReplicaSlot> &slots,
-                            std::size_t primary_slot,
-                            Clock::time_point submitted, double trigger_us,
-                            vecstore::VecView query, std::size_t k,
-                            const index::SearchParams &params,
-                            std::uint64_t &timeouts,
-                            std::uint64_t &failures,
-                            std::uint64_t &hedges_issued,
-                            std::uint64_t &hedges_won,
-                            std::uint64_t &hedges_wasted) const
+HermesBroker::awaitProbe(Probe probe, const std::vector<ReplicaSlot> &slots,
+                         double hedge_trigger_us, vecstore::VecView query,
+                         std::size_t k, const index::SearchParams &params,
+                         ProbeCounters &counters) const
 {
     struct Lane
     {
-        std::future<NodeResponse> future;
-        std::size_t slot = 0;
+        Probe probe;
+        Clock::time_point deadline = Clock::time_point::max();
+        std::size_t attempt = 1; ///< submit ordinal, for the logs
         bool hedge = false;
-        bool dead = false;
+    };
+    const auto open = [this](Probe p, std::size_t attempt, bool hedge) {
+        Lane lane{std::move(p), Clock::time_point::max(), attempt, hedge};
+        if (config_.node_deadline_ms > 0.0)
+            lane.deadline = lane.probe.submitted +
+                std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double, std::milli>(
+                        config_.node_deadline_ms));
+        return lane;
     };
 
-    NodeOutcome out;
-    // Both the deadline and the hedge trigger are anchored at SUBMIT
-    // time, not collection time: probes are collected in cluster order,
-    // so by the time a later cluster is collected its probe has already
-    // aged — a trigger measured from now would systematically under-arm.
-    const auto deadline_tp =
-        submitted + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            config_.node_deadline_ms));
-    const auto hedge_at = submitted + microsFromDouble(trigger_us);
-    const auto poll = microsFromDouble(config_.hedge.poll_us);
+    const std::size_t n = slots.size();
+    const std::size_t first = probe.slot;
+    // Like every deadline, the hedge trigger runs from submit: probes are
+    // awaited in cluster order, so a later cluster's probe has already
+    // aged when its wait begins. It arms at most once.
+    Clock::time_point hedge_at = Clock::time_point::max();
+    if (hedge_trigger_us > 0.0 && n > 1)
+        hedge_at = probe.submitted + microsFromDouble(hedge_trigger_us);
+    bool hedged = false;
 
-    std::vector<Lane> lanes;
-    lanes.reserve(2);
-    lanes.push_back(Lane{std::move(future), primary_slot, false, false});
-    std::vector<bool> used(slots.size(), false);
-    used[primary_slot] = true;
-
-    // Total submit budget: the primary, the hedge, and the same retry
-    // allowance the unhedged path gets.
+    // Live lanes: the primary (or its failover) plus at most one hedge.
+    std::array<Lane, 2> lanes;
+    std::size_t live = 0;
+    lanes[live++] = open(std::move(probe), 1, false);
+    // Failovers rotate from the primary, so until the hedge goes out the
+    // slots tried are exactly (first + i) % n for i < submits.
     std::size_t submits = 1;
-    const std::size_t max_submits = 2 + config_.max_retries;
-    bool hedge_armed = false;
+    std::size_t retries = 0;
 
+    NodeOutcome out;
     for (;;) {
-        const auto now = Clock::now();
-
-        // Arm the hedge once the primary outlives the trigger: duplicate
-        // to the least-loaded unused replica and race the lanes.
-        if (!hedge_armed && now >= hedge_at) {
-            hedge_armed = true;
-            if (submits < max_submits) {
-                std::size_t best = slots.size();
-                for (std::size_t s = 0; s < slots.size(); ++s) {
-                    if (used[s])
-                        continue;
-                    if (best == slots.size() ||
-                        slots[s].node->queueDepth() <
-                            slots[best].node->queueDepth())
-                        best = s;
-                }
-                if (best != slots.size()) {
-                    slots[best].routed->add(1);
-                    lanes.push_back(Lane{
-                        slots[best].node->submit(query, k, params), best,
-                        true, false});
-                    used[best] = true;
-                    ++submits;
-                    ++hedges_issued;
-                    obs::instantEvent(
-                        "broker.hedge",
-                        {{"node",
-                          std::to_string(slots[best].node_index), true}});
-                }
+        for (std::size_t i = 0; i < live;) {
+            Lane &lane = lanes[i];
+            std::future_status status;
+            if (live > 1) {
+                status = lane.probe.future.wait_for(kRacePoll);
+            } else if (lane.deadline == Clock::time_point::max() &&
+                       hedge_at == Clock::time_point::max()) {
+                lane.probe.future.wait();
+                status = std::future_status::ready;
+            } else {
+                status = lane.probe.future.wait_until(
+                    std::min(lane.deadline, hedge_at));
             }
+
+            // A ready lane is taken before its deadline is checked: a
+            // probe that answered while earlier clusters were awaited
+            // is never discarded as a timeout.
+            if (status == std::future_status::ready) {
+                try {
+                    out.response = lane.probe.future.get();
+                    out.ok = true;
+                    if (lane.hedge)
+                        ++counters.hedges_won;
+                    else if (hedged)
+                        ++counters.hedges_wasted;
+                    // The other lane's future is abandoned: both node
+                    // client kinds back it with a std::promise, so the
+                    // late response is dropped without blocking.
+                    return out;
+                } catch (const std::exception &e) {
+                    HERMES_WARN("node request failed: ", e.what(),
+                                " (attempt ", lane.attempt, ")");
+                } catch (...) {
+                    HERMES_WARN("node request failed with a non-standard "
+                                "exception (attempt ", lane.attempt, ")");
+                }
+                ++counters.failures;
+                obs::instantEvent(
+                    "broker.failure",
+                    {{"attempt", std::to_string(lane.attempt), true}});
+            } else if (Clock::now() >= lane.deadline) {
+                ++counters.timeouts;
+                obs::instantEvent(
+                    "broker.timeout",
+                    {{"attempt", std::to_string(lane.attempt), true}});
+                HERMES_WARN("node request missed its ",
+                            config_.node_deadline_ms, " ms deadline "
+                            "(attempt ", lane.attempt, ")");
+            } else {
+                ++i;
+                continue;
+            }
+            std::swap(lanes[i], lanes[--live]); // retire the lane
         }
 
-        bool any_live = false;
-        bool hedge_pending = std::any_of(
-            lanes.begin(), lanes.end(),
-            [](const Lane &l) { return l.hedge; });
-        for (Lane &lane : lanes) {
-            if (lane.dead)
-                continue;
-            any_live = true;
-            auto status = lane.future.wait_for(poll);
-            if (status != std::future_status::ready)
-                continue;
-            try {
-                out.response = lane.future.get();
-                out.ok = true;
-                if (lane.hedge)
-                    ++hedges_won;
-                else if (hedge_pending)
-                    ++hedges_wasted;
-                // The losing lane's future is abandoned here: both node
-                // client kinds back it with a std::promise, so the late
-                // response is dropped on the floor without blocking and
-                // any pooled connection it rode stays healthy.
+        if (live == 0) {
+            // Failover: resubmit round-robin from the primary while the
+            // retry budget lasts (one replica resubmits to itself).
+            if (retries >= config_.max_retries)
                 return out;
-            } catch (const std::exception &e) {
-                ++failures;
-                lane.dead = true;
-                obs::instantEvent("broker.failure",
-                                  {{"hedged", "1", true}});
-                HERMES_WARN("probe lane failed: ", e.what());
-            } catch (...) {
-                ++failures;
-                lane.dead = true;
-                obs::instantEvent("broker.failure",
-                                  {{"hedged", "1", true}});
-                HERMES_WARN("probe lane failed with a non-standard "
-                            "exception");
-            }
-        }
-
-        // Every lane died (exceptions, not stragglers): open a fresh
-        // lane on the next replica while the budget lasts. This is
-        // failover, not a hedge — there is no race to win.
-        if (!any_live) {
-            if (submits >= max_submits)
-                return out;
-            const std::size_t next =
-                (primary_slot + submits) % slots.size();
+            ++retries;
             obs::instantEvent("broker.retry");
-            if (next != primary_slot)
+            const std::size_t next = (first + submits) % n;
+            if (next != first)
                 slots[next].routed->add(1);
-            lanes.push_back(Lane{slots[next].node->submit(query, k, params),
-                                 next, false, false});
-            used[next] = true;
-            ++submits;
+            lanes[live++] = open(submitProbe(slots, next, query, k, params),
+                                 ++submits, false);
+            continue;
         }
 
-        // Deadline check LAST: a probe that completed before we got to
-        // collect it (the deadline is anchored at submit, and earlier
-        // clusters' collection may have consumed the budget) must still
-        // be returned, never discarded as a timeout.
-        if (Clock::now() >= deadline_tp) {
-            ++timeouts;
-            obs::instantEvent("broker.timeout",
-                              {{"hedged", "1", true}});
-            HERMES_WARN("hedged probe missed its ",
-                        config_.node_deadline_ms, " ms deadline");
-            return out;
+        // Hedge: the probe outlived the trigger. Duplicate it to the
+        // least-loaded replica not yet tried and race the two lanes.
+        if (Clock::now() >= hedge_at) {
+            hedge_at = Clock::time_point::max();
+            std::size_t best = n;
+            for (std::size_t s = 0; s < n; ++s) {
+                if ((s + n - first) % n < submits)
+                    continue;
+                if (best == n || slots[s].node->queueDepth() <
+                                     slots[best].node->queueDepth())
+                    best = s;
+            }
+            if (best != n) {
+                slots[best].routed->add(1);
+                lanes[live++] = open(
+                    submitProbe(slots, best, query, k, params), ++submits,
+                    true);
+                hedged = true;
+                ++counters.hedges_issued;
+                obs::instantEvent(
+                    "broker.hedge",
+                    {{"node", std::to_string(slots[best].node_index),
+                      true}});
+            }
         }
     }
 }
@@ -462,11 +405,7 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                      std::vector<std::uint32_t> &deep_clusters) const
 {
     const auto &config = hermes_config_;
-    std::uint64_t timeouts = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t hedges_issued = 0;
-    std::uint64_t hedges_won = 0;
-    std::uint64_t hedges_wasted = 0;
+    ProbeCounters counters;
 
     // Routing works off a topology snapshot: addReplica() may grow the
     // fleet mid-query, but this query sticks to the replicas it started
@@ -481,9 +420,9 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
 
     // Hedge trigger for this query: the windowed p95 (configurable) of
     // recent sample-probe latencies, once enough samples exist. The
-    // probe latency measured below includes the collect loop's queueing
-    // behind earlier probes, so the trigger is biased upward — a hedge
-    // fires only for genuine stragglers.
+    // probe latency measured below includes the wait behind earlier
+    // clusters' probes, so the trigger is biased upward — a hedge fires
+    // only for genuine stragglers.
     double hedge_trigger_us = -1.0;
     if (config_.hedge.enabled && config_.node_deadline_ms > 0.0) {
         auto probes =
@@ -516,18 +455,14 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     sample_perf.emplace(obs::PerfPhase::Sample);
     index::SearchParams sample_params;
     sample_params.nprobe = config.sample_nprobe;
-    std::vector<std::future<NodeResponse>> sample_futures;
-    std::vector<std::size_t> sample_slots(n, 0);
-    std::vector<Clock::time_point> sample_submitted(n);
-    sample_futures.reserve(n);
+    std::vector<Probe> sample_probes;
+    sample_probes.reserve(n);
     for (std::size_t c = 0; c < n; ++c) {
         const std::size_t slot = pickSlot(topology[c]);
-        sample_slots[c] = slot;
         topology[c][slot].routed->add(1);
         cluster_counters_[c].sample_requests.add(1);
-        sample_submitted[c] = Clock::now();
-        sample_futures.push_back(topology[c][slot].node->submit(
-            query, config.sample_k, sample_params));
+        sample_probes.push_back(submitProbe(topology[c], slot, query,
+                                            config.sample_k, sample_params));
     }
 
     // Rank clusters by best sampled document distance. A cluster whose
@@ -538,22 +473,15 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     ranked.reserve(n);
     sample_hits.reserve(n);
     for (std::size_t c = 0; c < n; ++c) {
-        const bool hedgeable =
-            hedge_trigger_us > 0.0 && topology[c].size() > 1;
-        auto outcome = hedgeable
-            ? collectHedged(std::move(sample_futures[c]), topology[c],
-                            sample_slots[c], sample_submitted[c],
-                            hedge_trigger_us, query, config.sample_k,
-                            sample_params, timeouts, failures,
-                            hedges_issued, hedges_won, hedges_wasted)
-            : collect(std::move(sample_futures[c]), topology[c],
-                      sample_slots[c], query, config.sample_k,
-                      sample_params, timeouts, failures);
+        const Clock::time_point submitted = sample_probes[c].submitted;
+        auto outcome = awaitProbe(std::move(sample_probes[c]), topology[c],
+                                  hedge_trigger_us, query, config.sample_k,
+                                  sample_params, counters);
         if (!outcome.ok)
             continue;
         h_sample_probe_us_.observe(
             std::chrono::duration<double, std::micro>(
-                Clock::now() - sample_submitted[c]).count());
+                Clock::now() - submitted).count());
         cluster_counters_[c].hits_returned.add(
             outcome.response.hits.size());
         float best = outcome.response.hits.empty()
@@ -582,15 +510,8 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
 
     // Phase 2: deep-search the top clusters (with optional adaptive
     // pruning, matching core::HermesSearch semantics).
-    std::size_t deep = std::min(config.clusters_to_search, ranked.size());
-    if (config.adaptive_epsilon > 0.0 && !ranked.empty()) {
-        float bound = core::adaptivePruneBound(ranked.front().first,
-                                               config.adaptive_epsilon);
-        std::size_t keep = 0;
-        while (keep < deep && ranked[keep].first <= bound)
-            ++keep;
-        deep = std::max<std::size_t>(keep, 1);
-    }
+    const std::size_t deep = core::deepClusterCount(
+        ranked, config.clusters_to_search, config.adaptive_epsilon);
 
     phase_timer.reset();
     std::optional<obs::ScopedSpan> deep_span;
@@ -600,28 +521,28 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     deep_span->arg("clusters", static_cast<std::uint64_t>(deep));
     index::SearchParams deep_params;
     deep_params.nprobe = config.deep_nprobe;
-    std::vector<std::future<NodeResponse>> deep_futures;
-    std::vector<std::size_t> deep_slots;
+    std::vector<Probe> deep_probes;
+    deep_probes.reserve(deep);
     deep_clusters.clear();
     for (std::size_t i = 0; i < deep; ++i) {
         std::uint32_t c = ranked[i].second;
         deep_clusters.push_back(c);
         const std::size_t slot = pickSlot(topology[c]);
-        deep_slots.push_back(slot);
         topology[c][slot].routed->add(1);
         cluster_counters_[c].deep_requests.add(1);
-        deep_futures.push_back(
-            topology[c][slot].node->submit(query, k, deep_params));
+        deep_probes.push_back(
+            submitProbe(topology[c], slot, query, k, deep_params));
     }
 
+    // Deep requests are never hedged: they keep the deadline and
+    // failover rules alone.
     std::vector<vecstore::HitList> partials;
-    partials.reserve(deep_futures.size());
+    partials.reserve(deep);
     std::size_t deep_ok = 0;
-    for (std::size_t i = 0; i < deep_futures.size(); ++i) {
+    for (std::size_t i = 0; i < deep; ++i) {
         auto outcome =
-            collect(std::move(deep_futures[i]),
-                    topology[deep_clusters[i]], deep_slots[i], query, k,
-                    deep_params, timeouts, failures);
+            awaitProbe(std::move(deep_probes[i]), topology[deep_clusters[i]],
+                       -1.0, query, k, deep_params, counters);
         if (outcome.ok) {
             cluster_counters_[deep_clusters[i]].hits_returned.add(
                 outcome.response.hits.size());
@@ -643,10 +564,10 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
         for (auto &hits : sample_hits)
             partials.push_back(std::move(hits));
     }
-    bool degraded = timeouts > 0 || failures > 0;
+    bool degraded = counters.timeouts > 0 || counters.failures > 0;
     if (degraded) {
-        HERMES_DEBUG("degraded query: ", timeouts, " timeouts, ",
-                     failures, " failures across ", deep,
+        HERMES_DEBUG("degraded query: ", counters.timeouts, " timeouts, ",
+                     counters.failures, " failures across ", deep,
                      " deep clusters");
     }
 
@@ -654,13 +575,13 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
         std::unique_lock<std::mutex> lock(stats_mutex_);
         ++queries_;
         deep_requests_ += deep;
-        timeouts_ += timeouts;
-        failures_ += failures;
+        timeouts_ += counters.timeouts;
+        failures_ += counters.failures;
         if (degraded)
             ++degraded_queries_;
-        hedges_issued_ += hedges_issued;
-        hedges_won_ += hedges_won;
-        hedges_wasted_ += hedges_wasted;
+        hedges_issued_ += counters.hedges_issued;
+        hedges_won_ += counters.hedges_won;
+        hedges_wasted_ += counters.hedges_wasted;
     }
 
     // Mirror the lifetime counters into the exportable registry. The
@@ -685,18 +606,18 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                 obs::names::kBrokerHedgesWasted);
         c_queries_.add(1);
         c_deep.add(deep);
-        if (timeouts)
-            c_timeouts.add(timeouts);
-        if (failures)
-            c_failures.add(failures);
+        if (counters.timeouts)
+            c_timeouts.add(counters.timeouts);
+        if (counters.failures)
+            c_failures.add(counters.failures);
         if (degraded)
             c_degraded.add(1);
-        if (hedges_issued)
-            c_hedges_issued.add(hedges_issued);
-        if (hedges_won)
-            c_hedges_won.add(hedges_won);
-        if (hedges_wasted)
-            c_hedges_wasted.add(hedges_wasted);
+        if (counters.hedges_issued)
+            c_hedges_issued.add(counters.hedges_issued);
+        if (counters.hedges_won)
+            c_hedges_won.add(counters.hedges_won);
+        if (counters.hedges_wasted)
+            c_hedges_wasted.add(counters.hedges_wasted);
     }
 
     phase_timer.reset();

@@ -26,22 +26,33 @@
  * response wins; the loser's future is simply abandoned (futures are
  * promise-backed on both node client kinds, so discarding a late
  * response never blocks or leaks). Replicas hold copies of the same
- * immutable index, so routing and hedging cannot change results —
- * unreplicated brokers take the exact pre-replication code path.
+ * immutable index, so routing and hedging cannot change results.
  *
- * Fault model: every node request carries a deadline and one bounded
- * retry; with replicas, retries rotate to the next replica so a dead
- * node's traffic drains to its peers. A node that times out or throws
- * is logged and counted (BrokerStats::timeouts / failures); the query
- * degrades gracefully by merging whatever partial results arrived —
- * padded with the sampling hits when a deep node was lost — and only
- * returns fewer than k hits when every deep node failed
+ * Every probe, sample or deep, hedged or not, is awaited by one loop:
+ * a race of lanes, one lane per submitted request, where an unhedged
+ * probe is the one-lane case.
+ *   - Each lane's deadline runs from its own submit.
+ *   - A ready lane is taken before its deadline is checked.
+ *   - A timeout or failure counts once and retires the lane.
+ *   - With no lane live, a failover lane opens on the next replica
+ *     (round-robin from the primary) while max_retries allows.
+ *   - One hedge lane at most, outside the retry budget.
+ * One live lane blocks until its deadline or the hedge time; two live
+ * lanes are polled every 100 us.
+ *
+ * Fault model: a node that times out or throws is logged and counted
+ * (BrokerStats::timeouts / failures); with replicas, failover rotates
+ * to the next replica so a dead node's traffic drains to its peers. The
+ * query degrades gracefully by merging whatever partial results
+ * arrived — padded with the sampling hits when a deep node was lost —
+ * and only returns fewer than k hits when every deep node failed
  * (BrokerStats::degraded_queries observes all such queries).
  */
 
 #pragma once
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
@@ -59,7 +70,8 @@ namespace serve {
 /** Hedged-request tuning for straggling sample-phase probes. */
 struct HedgeConfig
 {
-    /** Master switch; off = exactly the pre-hedging wait loop. */
+    /** Master switch; off = every probe is a one-lane race (deadline
+     *  and failover only). */
     bool enabled = true;
 
     /** Probe-latency percentile that arms the hedge (p95: a probe
@@ -73,9 +85,6 @@ struct HedgeConfig
     /** Floor on the trigger so microsecond-fast fleets don't hedge
      *  every probe on scheduling jitter. */
     double min_trigger_us = 200.0;
-
-    /** Poll granularity of the first-response-wins race. */
-    double poll_us = 100.0;
 };
 
 /** Broker configuration. */
@@ -101,14 +110,16 @@ struct BrokerConfig
 
     /**
      * Deadline in milliseconds for each node request (sampling and deep
-     * search alike). A request that is not ready by then counts as a
-     * timeout and is retried/abandoned. 0 waits forever (pre-fault-
-     * tolerance behaviour; a dead node then hangs the query) and
-     * disables hedging.
+     * search alike), measured from that request's submit, so it covers
+     * queueing and the wait behind other clusters' probes. A request
+     * that is not ready by then counts as a timeout and is failed over
+     * or abandoned. 0 waits forever (a dead node then hangs the query)
+     * and disables hedging.
      */
     double node_deadline_ms = 2000.0;
 
-    /** Bounded resubmits after a timeout or failure (per request). */
+    /** Failover resubmits after every lane of a request timed out or
+     *  failed (per request; a hedge does not count against it). */
     std::size_t max_retries = 1;
 
     /**
@@ -129,8 +140,8 @@ struct BrokerConfig
     ReplicaMap replica_map;
 
     /** Hedged-request policy for sample-phase probes. Only engages for
-     *  clusters with >= 2 replicas, so unreplicated brokers are
-     *  bit-for-bit on the pre-hedging path. */
+     *  clusters with >= 2 replicas; unreplicated clusters always wait
+     *  on a single lane. */
     HedgeConfig hedge;
 };
 
@@ -292,6 +303,24 @@ class HermesBroker
         NodeResponse response;
     };
 
+    /** One submitted node request. */
+    struct Probe
+    {
+        std::future<NodeResponse> future;
+        std::size_t slot = 0; ///< replica slot it was sent to
+        std::chrono::steady_clock::time_point submitted; ///< deadline anchor
+    };
+
+    /** One query's fault and hedge tallies (see BrokerStats). */
+    struct ProbeCounters
+    {
+        std::uint64_t timeouts = 0;
+        std::uint64_t failures = 0;
+        std::uint64_t hedges_issued = 0;
+        std::uint64_t hedges_won = 0;
+        std::uint64_t hedges_wasted = 0;
+    };
+
     /**
      * Power-of-two-choices: with one slot return it outright (no RNG —
      * the unreplicated path stays byte-for-byte deterministic);
@@ -301,42 +330,24 @@ class HermesBroker
      */
     std::size_t pickSlot(const std::vector<ReplicaSlot> &slots) const;
 
-    /**
-     * Wait for @p future under the configured deadline, retrying via a
-     * fresh submit() up to max_retries times on timeout or exception.
-     * Retries rotate over @p slots starting after @p primary_slot (a
-     * single replica degenerates to resubmitting to the same node).
-     * Folds timeout/failure counts into @p timeouts / @p failures.
-     */
-    NodeOutcome collect(std::future<NodeResponse> future,
-                        const std::vector<ReplicaSlot> &slots,
-                        std::size_t primary_slot, vecstore::VecView query,
-                        std::size_t k, const index::SearchParams &params,
-                        std::uint64_t &timeouts,
-                        std::uint64_t &failures) const;
+    /** Submit to @p slots[@p slot], stamping the submit time. Route
+     *  counters are the caller's. */
+    Probe submitProbe(const std::vector<ReplicaSlot> &slots,
+                      std::size_t slot, vecstore::VecView query,
+                      std::size_t k,
+                      const index::SearchParams &params) const;
 
     /**
-     * First-response-wins wait for a sample probe with a hedge: if the
-     * primary is still pending @p trigger_us after submit, duplicate
-     * the probe to the least-loaded other replica and race the two;
-     * the losing future is abandoned (safe: promise-backed). A lane
-     * that fails is retired; when all lanes are dead and the resubmit
-     * budget allows, a fresh lane is opened on the next replica
-     * (failover, not counted as a hedge). Returns !ok only after the
-     * deadline expires or the budget is exhausted.
+     * Wait for @p probe by the lane race in the file comment. A hedge
+     * lane opens @p hedge_trigger_us after submit when the trigger is
+     * positive and @p slots has another replica. Returns !ok once every
+     * lane is retired and the failover budget is spent.
      */
-    NodeOutcome collectHedged(std::future<NodeResponse> future,
-                              const std::vector<ReplicaSlot> &slots,
-                              std::size_t primary_slot,
-                              std::chrono::steady_clock::time_point submitted,
-                              double trigger_us,
-                              vecstore::VecView query, std::size_t k,
-                              const index::SearchParams &params,
-                              std::uint64_t &timeouts,
-                              std::uint64_t &failures,
-                              std::uint64_t &hedges_issued,
-                              std::uint64_t &hedges_won,
-                              std::uint64_t &hedges_wasted) const;
+    NodeOutcome awaitProbe(Probe probe,
+                           const std::vector<ReplicaSlot> &slots,
+                           double hedge_trigger_us, vecstore::VecView query,
+                           std::size_t k, const index::SearchParams &params,
+                           ProbeCounters &counters) const;
 
     /** Build topology_/node_clusters_ from @p map (constructors). */
     void initTopology(const ReplicaMap &map);

@@ -146,6 +146,28 @@ TEST(Hermes, DeepSearchesExactlyConfiguredClusters)
     EXPECT_EQ(unique.size(), result.deep_clusters.size());
 }
 
+TEST(DeepClusterCount, EdgesOfThePlan)
+{
+    // Nothing sampled: nothing to deep-search, pruning or not.
+    const std::vector<std::pair<float, std::uint32_t>> none;
+    EXPECT_EQ(deepClusterCount(none, 3, 0.0), 0u);
+    EXPECT_EQ(deepClusterCount(none, 3, 0.5), 0u);
+
+    // Asking for more clusters than were ranked takes all of them.
+    const std::vector<std::pair<float, std::uint32_t>> ranked{
+        {1.0f, 4}, {1.05f, 2}, {3.0f, 0}};
+    EXPECT_EQ(deepClusterCount(ranked, 10, 0.0), 3u);
+    EXPECT_EQ(deepClusterCount(ranked, 2, 0.0), 2u);
+
+    // Epsilon keeps the prefix within best + eps * |best| ...
+    EXPECT_EQ(deepClusterCount(ranked, 10, 0.1), 2u);
+    EXPECT_EQ(deepClusterCount(ranked, 10, 5.0), 3u);
+    // ... pruning down to the best cluster alone ...
+    EXPECT_EQ(deepClusterCount(ranked, 10, 0.01), 1u);
+    // ... and never below one, even when nothing asked for is kept.
+    EXPECT_EQ(deepClusterCount(ranked, 0, 0.1), 1u);
+}
+
 TEST(Hermes, SampleStatsTouchEveryCluster)
 {
     const auto &data = coreData();

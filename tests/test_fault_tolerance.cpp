@@ -339,6 +339,34 @@ TEST(HermesBrokerFaults, DeadNodeTimesOutInsteadOfHanging)
     EXPECT_EQ(stats.degraded_queries, 4u);
 }
 
+TEST(HermesBrokerFaults, DeadSampleProbesShareOneDeadline)
+{
+    // Two dead clusters on the sample fan-out: each probe's deadline
+    // runs from its own submit, so the two expire together instead of
+    // one after the other.
+    const auto &data = brokerFixture();
+    const double deadline_ms = 250.0;
+
+    serve::BrokerConfig config;
+    config.node_deadline_ms = deadline_ms;
+    config.max_retries = 0;
+    config.node_faults.resize(2);
+    config.node_faults[0].drop_probability = 1.0;
+    config.node_faults[1].drop_probability = 1.0;
+    serve::HermesBroker broker(*data.store, config);
+
+    const auto start = std::chrono::steady_clock::now();
+    auto hits = broker.search(data.queries.embeddings.row(0), 5);
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::now() - start).count();
+
+    EXPECT_EQ(hits.size(), 5u);
+    EXPECT_LT(elapsed_ms, 1.5 * deadline_ms);
+    auto stats = broker.stats();
+    EXPECT_EQ(stats.timeouts, 2u);
+    EXPECT_EQ(stats.degraded_queries, 1u);
+}
+
 TEST(HermesBrokerFaults, AllNodesFailingReturnsEmptyNotCrash)
 {
     const auto &data = brokerFixture();

@@ -503,40 +503,48 @@ TEST(HermesBroker, HedgeFiresAndMatchesUnhedged)
 
 TEST(HermesBroker, DeadReplicaFailsOverToSurvivor)
 {
-    // Cluster 0's primary drops every request (a dead process): sample
-    // probes hedge over to the surviving replica, deep requests time out
-    // and rotate their retry to it — queries keep returning the full,
-    // bit-identical top-k with no degradation in the answer.
+    // Cluster 0's primary drops every request (a dead process). With
+    // hedging on, sample probes hedge over to the surviving replica;
+    // with it off, each probe is a single lane that times out and fails
+    // over to it. Deep requests time out and fail over either way, so
+    // queries keep returning the full, bit-identical top-k with no
+    // degradation in the answer.
     const auto &data = serveData();
-    serve::BrokerConfig config;
-    config.node_faults.resize(1);
-    config.node_faults[0].drop_probability = 1.0;
-    config.node_deadline_ms = 150.0;
-    config.max_retries = 1;
-    config.hedge.min_samples = 4;
-    config.hedge.min_trigger_us = 500.0;
-    serve::HermesBroker broker(*data.store, config);
-    serve::NodeConfig clean;
-    clean.node_id = broker.numNodes();
-    broker.addReplica(0, std::make_unique<serve::LocalNodeClient>(
-                             data.store->clusterIndex(0), clean));
     core::HermesSearch reference(*data.store);
+    for (const bool hedged : {true, false}) {
+        SCOPED_TRACE(hedged ? "hedging on" : "hedging off");
+        serve::BrokerConfig config;
+        config.node_faults.resize(1);
+        config.node_faults[0].drop_probability = 1.0;
+        config.node_deadline_ms = 150.0;
+        config.max_retries = 1;
+        config.hedge.enabled = hedged;
+        config.hedge.min_samples = 4;
+        config.hedge.min_trigger_us = 500.0;
+        serve::HermesBroker broker(*data.store, config);
+        serve::NodeConfig clean;
+        clean.node_id = broker.numNodes();
+        broker.addReplica(0, std::make_unique<serve::LocalNodeClient>(
+                                 data.store->clusterIndex(0), clean));
 
-    for (std::size_t q = 0; q < 12; ++q) {
-        auto hits = broker.search(data.queries.embeddings.row(q), 5);
-        auto expected =
-            reference.search(data.queries.embeddings.row(q), 5);
-        ASSERT_EQ(hits.size(), expected.hits.size()) << "query " << q;
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-            EXPECT_EQ(hits[i].id, expected.hits[i].id) << "query " << q;
-            EXPECT_EQ(hits[i].score, expected.hits[i].score)
-                << "query " << q;
+        for (std::size_t q = 0; q < 12; ++q) {
+            auto hits = broker.search(data.queries.embeddings.row(q), 5);
+            auto expected =
+                reference.search(data.queries.embeddings.row(q), 5);
+            ASSERT_EQ(hits.size(), expected.hits.size()) << "query " << q;
+            for (std::size_t i = 0; i < hits.size(); ++i) {
+                EXPECT_EQ(hits[i].id, expected.hits[i].id) << "query " << q;
+                EXPECT_EQ(hits[i].score, expected.hits[i].score)
+                    << "query " << q;
+            }
         }
+        // The dead primary cost timeouts or hedges, never answers.
+        auto stats = broker.stats();
+        EXPECT_EQ(stats.queries, 12u);
+        EXPECT_GT(stats.hedges_issued + stats.timeouts, 0u);
+        if (!hedged)
+            EXPECT_EQ(stats.hedges_issued, 0u);
     }
-    // The dead primary cost timeouts or hedges, never answers.
-    auto stats = broker.stats();
-    EXPECT_EQ(stats.queries, 12u);
-    EXPECT_GT(stats.hedges_issued + stats.timeouts, 0u);
 }
 
 TEST(HermesBroker, LoadReportExposesReplicasAndHedges)

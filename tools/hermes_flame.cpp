@@ -9,17 +9,15 @@
  * merged trace folds across processes: broker.query;rpc.search;
  * shard.search;node.search. Weights are self-time microseconds.
  *
- * Usage:
- *   hermes_flame --trace=FILE [--trace=FILE]...
- *                [--endpoint=host:port]... [--out=FILE]
+ * Usage: see kUsage below (hermes_flame --help prints it).
  *
  * --endpoint fetches /trace.json from a live obs exporter instead of
  * (or alongside) files. Output goes to --out or stdout and loads
  * directly in speedscope (https://speedscope.app) or through
  * flamegraph.pl.
  *
- * Exit status: 0 on success (warnings on stderr), 1 when no input
- * parses or the output cannot be written, 2 on bad usage.
+ * Exit status: 0 on success or --help (warnings on stderr), 1 when no
+ * input parses or the output cannot be written, 2 on bad usage.
  */
 
 #include <cstdio>
@@ -34,6 +32,10 @@
 #include "serve/trace_merge.hpp"
 
 namespace {
+
+constexpr const char *kUsage =
+    "usage: hermes_flame --trace=FILE [--trace=FILE]...\n"
+    "                    [--endpoint=host:port]... [--out=FILE]\n";
 
 const char *
 matchOption(const char *arg, const char *name)
@@ -85,16 +87,16 @@ main(int argc, char **argv)
             endpoints.push_back(v);
         else if (const char *v = matchOption(argv[i], "--out"))
             out_path = v;
-        else {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        else if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else {
+            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
             return 2;
         }
     }
     if (trace_files.empty() && endpoints.empty()) {
-        std::fprintf(stderr,
-                     "usage: hermes_flame --trace=FILE "
-                     "[--trace=FILE]... [--endpoint=host:port]... "
-                     "[--out=FILE]\n");
+        std::fputs(kUsage, stderr);
         return 2;
     }
 

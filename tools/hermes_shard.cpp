@@ -18,16 +18,7 @@
  * cosmetic ordinal that distinguishes the copies in logs, the ready
  * line and /shard.
  *
- * Usage: hermes_shard --cluster=N [--replica=N] [--port=N] [--bind=ADDR]
- *                     [--index-file=PATH] [--index-heap=0|1]
- *                     [--prefault=0|1]
- *                     [--num-docs=N] [--dim=N] [--topics=N]
- *                     [--clusters=N] [--nlist=N]
- *                     [--batch-window-us=N] [--max-batch=N]
- *                     [--fail-prob=P] [--drop-prob=P] [--delay-ms=MS]
- *                     [--http-port=PORT]
- *                     [--trace-out=FILE] [--trace-sample=N]
- *                     [--metrics-json=FILE] [--perf=0|1]
+ * Usage: see kUsage below (hermes_shard --help prints it).
  *
  * --index-file=PATH skips the in-process corpus + partition build and
  * serves a pre-built v3 index file instead: the file is opened as a
@@ -72,6 +63,19 @@
 #include "hermes/hermes.hpp"
 
 namespace {
+
+constexpr const char *kUsage =
+    "usage: hermes_shard --cluster=N [--replica=N] [--port=N] "
+    "[--bind=ADDR]\n"
+    "                    [--index-file=PATH] [--index-heap=0|1]\n"
+    "                    [--prefault=0|1]\n"
+    "                    [--num-docs=N] [--dim=N] [--topics=N]\n"
+    "                    [--clusters=N] [--nlist=N]\n"
+    "                    [--batch-window-us=N] [--max-batch=N]\n"
+    "                    [--fail-prob=P] [--drop-prob=P] [--delay-ms=MS]\n"
+    "                    [--http-port=PORT]\n"
+    "                    [--trace-out=FILE] [--trace-sample=N]\n"
+    "                    [--metrics-json=FILE] [--perf=0|1]\n";
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -165,8 +169,11 @@ main(int argc, char **argv)
             metrics_json = v;
         else if (const char *v = matchOption(argv[i], "--perf"))
             perf_flag = std::atoi(v) != 0;
-        else {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        else if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else {
+            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
             return 2;
         }
     }

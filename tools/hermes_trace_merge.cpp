@@ -7,11 +7,7 @@
  * can align every shard's timestamps onto the broker's clock with no
  * cooperation from the shards beyond handing over their dumps.
  *
- * Usage:
- *   hermes_trace_merge --broker-trace=FILE
- *                      [--shards=host:port,host:port,...]
- *                      [--shard-file=FILE]...
- *                      [--out=FILE]
+ * Usage: see kUsage below (hermes_trace_merge --help prints it).
  *
  * --shards fetches /trace.json from each listed obs exporter endpoint
  * (a live fleet); --shard-file reads a dump a shard wrote on drain
@@ -20,9 +16,9 @@
  * chrome://tracing or https://ui.perfetto.dev with one row of
  * processes: broker pid 1, shards pid 2+.
  *
- * Exit status: 0 on success (even with per-shard warnings, which go to
- * stderr), 1 when the broker dump is missing or unparseable, 2 on bad
- * usage.
+ * Exit status: 0 on success or --help (even with per-shard warnings,
+ * which go to stderr), 1 when the broker dump is missing or
+ * unparseable, 2 on bad usage.
  */
 
 #include <cstdio>
@@ -37,6 +33,12 @@
 #include "serve/trace_merge.hpp"
 
 namespace {
+
+constexpr const char *kUsage =
+    "usage: hermes_trace_merge --broker-trace=FILE\n"
+    "                          [--shards=host:port,host:port,...]\n"
+    "                          [--shard-file=FILE]...\n"
+    "                          [--out=FILE]\n";
 
 const char *
 matchOption(const char *arg, const char *name)
@@ -108,16 +110,16 @@ main(int argc, char **argv)
             shard_files.push_back(v);
         else if (const char *v = matchOption(argv[i], "--out"))
             out_path = v;
-        else {
-            std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        else if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(kUsage, stdout);
+            return 0;
+        } else {
+            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
             return 2;
         }
     }
     if (broker_path.empty()) {
-        std::fprintf(stderr,
-                     "usage: hermes_trace_merge --broker-trace=FILE "
-                     "[--shards=host:port,...] [--shard-file=FILE]... "
-                     "[--out=FILE]\n");
+        std::fputs(kUsage, stderr);
         return 2;
     }
 
