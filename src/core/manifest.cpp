@@ -1,9 +1,8 @@
 #include "core/manifest.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <map>
-
-#include "util/logging.hpp"
 
 namespace hermes {
 namespace core {
@@ -11,9 +10,8 @@ namespace core {
 void
 Manifest::save(const std::filesystem::path &dir) const
 {
-    std::ofstream out(dir / "manifest.txt");
-    if (!out)
-        HERMES_FATAL("cannot write manifest in ", dir.string());
+    const std::string path = (dir / "manifest.txt").string();
+    std::ofstream out(path);
     out << "type=" << type << '\n';
     out << "num_clusters=" << num_clusters << '\n';
     out << "dim=" << dim << '\n';
@@ -22,15 +20,21 @@ Manifest::save(const std::filesystem::path &dir) const
     out << "centroids=" << centroids_file << '\n';
     for (std::size_t c = 0; c < cluster_files.size(); ++c)
         out << "cluster_" << c << '=' << cluster_files[c] << '\n';
+    out.close();
+    if (!out)
+        throw util::FormatError(util::FormatErrorCode::Io,
+                                path + ": cannot write manifest");
 }
 
 Manifest
 Manifest::load(const std::filesystem::path &dir)
 {
-    std::ifstream in(dir / "manifest.txt");
+    const std::string path = (dir / "manifest.txt").string();
+    std::ifstream in(path);
     if (!in)
-        HERMES_FATAL("no manifest.txt in ", dir.string(),
-                     " (run hermes_build_index first)");
+        throw util::FormatError(util::FormatErrorCode::Io,
+                                path + ": cannot open (run "
+                                       "hermes_build_index first)");
     std::map<std::string, std::string> kv;
     std::string line;
     while (std::getline(in, line)) {
@@ -39,16 +43,33 @@ Manifest::load(const std::filesystem::path &dir)
             continue;
         kv[line.substr(0, eq)] = line.substr(eq + 1);
     }
+    auto get = [&](const std::string &key) -> const std::string & {
+        auto it = kv.find(key);
+        if (it == kv.end())
+            throw util::FormatError(util::FormatErrorCode::Corrupt,
+                                    path + ": missing key '" + key + "'");
+        return it->second;
+    };
+    auto count = [&](const std::string &key) {
+        const std::string &text = get(key);
+        std::size_t value = 0;
+        auto [end, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), value);
+        if (ec != std::errc() || end != text.data() + text.size())
+            throw util::FormatError(util::FormatErrorCode::Corrupt,
+                                    path + ": " + key + "='" + text +
+                                        "' is not a count");
+        return value;
+    };
     Manifest manifest;
-    manifest.type = kv.at("type");
-    manifest.num_clusters = std::stoul(kv.at("num_clusters"));
-    manifest.dim = std::stoul(kv.at("dim"));
-    manifest.codec = kv.at("codec");
-    manifest.corpus_file = kv.at("corpus");
-    manifest.centroids_file = kv.at("centroids");
+    manifest.type = get("type");
+    manifest.num_clusters = count("num_clusters");
+    manifest.dim = count("dim");
+    manifest.codec = get("codec");
+    manifest.corpus_file = get("corpus");
+    manifest.centroids_file = get("centroids");
     for (std::size_t c = 0; c < manifest.num_clusters; ++c)
-        manifest.cluster_files.push_back(
-            kv.at("cluster_" + std::to_string(c)));
+        manifest.cluster_files.push_back(get("cluster_" + std::to_string(c)));
     return manifest;
 }
 
@@ -69,14 +90,6 @@ loadStore(const std::filesystem::path &dir, const Manifest &manifest,
         vecstore::Matrix::load((dir / manifest.centroids_file).string());
     return DistributedStore::assemble(config, std::move(indices),
                                       std::move(centroids));
-}
-
-DistributedStore
-loadStore(const std::filesystem::path &dir, const Manifest &manifest,
-          HermesConfig config)
-{
-    return loadStore(dir, manifest, std::move(config),
-                     StoreLoadMode::kHeap);
 }
 
 } // namespace core

@@ -39,10 +39,17 @@ struct Manifest
     std::string centroids_file = "centroids.hmat";
     std::vector<std::string> cluster_files;
 
-    /** Write to @p dir/manifest.txt. */
+    /**
+     * Write to @p dir/manifest.txt.
+     * @throws util::FormatError (Io) when the file cannot be written.
+     */
     void save(const std::filesystem::path &dir) const;
 
-    /** Load from @p dir/manifest.txt. */
+    /**
+     * Load from @p dir/manifest.txt.
+     * @throws util::FormatError: Io when the file is missing, Corrupt
+     *         for a missing key or a count that is not a number.
+     */
     static Manifest load(const std::filesystem::path &dir);
 };
 
@@ -69,15 +76,12 @@ DistributedStore loadStore(const std::filesystem::path &dir,
                            const Manifest &manifest, HermesConfig config,
                            StoreLoadMode mode);
 
-/** Heap-mode overload (historical default). */
-DistributedStore loadStore(const std::filesystem::path &dir,
-                           const Manifest &manifest, HermesConfig config);
-
 /**
- * Run a loader, converting a typed format rejection into the historical
- * CLI discipline: a clean "truncated/corrupt archive" exit(1) instead of
- * an uncaught throw through std::terminate. For use at binary entry
- * points only — library code wants the FormatError itself.
+ * Run a loader (or writer), converting a typed format rejection into a
+ * clean exit(1) — "io error", "truncated archive" or "corrupt archive"
+ * plus the message — instead of an uncaught throw through
+ * std::terminate. For use at binary entry points only: library code
+ * wants the FormatError itself.
  */
 template <typename Fn>
 auto
@@ -86,10 +90,12 @@ loadOrFatal(Fn &&fn) -> decltype(fn())
     try {
         return fn();
     } catch (const util::FormatError &e) {
-        HERMES_FATAL(e.code() == util::FormatErrorCode::Truncated
-                         ? "truncated"
-                         : "corrupt",
-                     " archive: ", e.what());
+        const auto code = e.code();
+        HERMES_FATAL(code == util::FormatErrorCode::Io ? "io error"
+                     : code == util::FormatErrorCode::Truncated
+                         ? "truncated archive"
+                         : "corrupt archive",
+                     ": ", e.what());
     }
 }
 

@@ -40,7 +40,6 @@
 #include "rag/synth_text.hpp"
 #include "net/frame.hpp"
 #include "net/net.hpp"
-#include "net/wire.hpp"
 #include "serve/broker.hpp"
 #include "serve/node.hpp"
 #include "serve/node_client.hpp"

@@ -38,7 +38,7 @@
  *                [0, ntotal) in list order, so bounds are total
  *   ids          ntotal * i64 external ids, list-major
  *   codes        ntotal * code_size bytes, list-major
- *   codec        codec parameter blob (util::BinaryWriter stream)
+ *   codec        codec parameter blob (Codec::save via util::ByteWriter)
  *
  * An empty section stores offset = 0, length = 0. The file ends exactly
  * where the last non-empty section does.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -598,12 +597,9 @@ void
 IvfIndex::save(const std::string &path) const
 {
     // Codec parameters first: the blob's size is part of the layout.
-    std::ostringstream blob_stream;
-    {
-        util::BinaryWriter bw(blob_stream);
-        codec_->save(bw);
-    }
-    const std::string blob = blob_stream.str();
+    util::ByteWriter bw;
+    codec_->save(bw);
+    const std::string blob = bw.take();
 
     ivff::IndexMeta meta;
     meta.metric = metric_;
@@ -685,11 +681,10 @@ IvfIndex::fromParsed(const ivff::ParsedIndex &parsed,
         throw util::FormatError(util::FormatErrorCode::Corrupt,
                                 path + ": missing codec parameters");
     }
-    {
-        util::BinaryReader br(parsed.codec_blob, parsed.codec_blob_bytes,
-                              path + " (codec parameters)");
-        idx->codec_->load(br);
-    }
+    util::ByteReader br(parsed.codec_blob, parsed.codec_blob_bytes,
+                        path + " (codec parameters)");
+    idx->codec_->load(br);
+    br.expectEnd();
     if (idx->codec_->codeSize() != meta.code_size) {
         throw util::FormatError(
             util::FormatErrorCode::Corrupt,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "cluster/kmeans.hpp"
 #include "util/logging.hpp"
@@ -111,12 +110,9 @@ IvfStreamWriter::finish()
     HERMES_ASSERT(!finished_, "IvfStreamWriter::finish called twice");
     finished_ = true;
 
-    std::ostringstream blob_stream;
-    {
-        util::BinaryWriter bw(blob_stream);
-        prototype_.codec().save(bw);
-    }
-    const std::string blob = blob_stream.str();
+    util::ByteWriter bw;
+    prototype_.codec().save(bw);
+    const std::string blob = bw.take();
 
     const IvfConfig &config = prototype_.config();
     ivff::IndexMeta meta;

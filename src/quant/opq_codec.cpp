@@ -155,23 +155,23 @@ OpqCodec::name() const
 }
 
 void
-OpqCodec::save(util::BinaryWriter &w) const
+OpqCodec::save(util::ByteWriter &w) const
 {
-    w.write<std::uint64_t>(dim_);
-    w.write<std::uint8_t>(trained_ ? 1 : 0);
-    w.writeVector(rotation_);
+    w.u64(dim_);
+    w.u8(trained_ ? 1 : 0);
+    w.vec(rotation_);
     pq_.save(w);
 }
 
 void
-OpqCodec::load(util::BinaryReader &r)
+OpqCodec::load(util::ByteReader &r)
 {
-    auto dim = r.read<std::uint64_t>();
+    auto dim = r.u64();
     if (dim != dim_)
         r.fail(util::FormatErrorCode::Corrupt,
                "OpqCodec dim mismatch on load");
-    trained_ = r.read<std::uint8_t>() != 0;
-    rotation_ = r.readVector<float>();
+    trained_ = r.u8() != 0;
+    rotation_ = r.vec<float>();
     if (trained_ && rotation_.size() != dim_ * dim_)
         r.fail(util::FormatErrorCode::Corrupt,
                "OpqCodec rotation matrix has the wrong size");

@@ -241,26 +241,26 @@ ScalarCodec::name() const
 }
 
 void
-ScalarCodec::save(util::BinaryWriter &w) const
+ScalarCodec::save(util::ByteWriter &w) const
 {
-    w.write<std::uint64_t>(dim_);
-    w.write<std::int32_t>(bits_);
-    w.write<std::uint8_t>(trained_ ? 1 : 0);
-    w.writeVector(vmin_);
-    w.writeVector(vdiff_);
+    w.u64(dim_);
+    w.u32(static_cast<std::uint32_t>(bits_)); // i32 on disk
+    w.u8(trained_ ? 1 : 0);
+    w.vec(vmin_);
+    w.vec(vdiff_);
 }
 
 void
-ScalarCodec::load(util::BinaryReader &r)
+ScalarCodec::load(util::ByteReader &r)
 {
-    auto dim = r.read<std::uint64_t>();
-    auto bits = r.read<std::int32_t>();
+    auto dim = r.u64();
+    auto bits = static_cast<std::int32_t>(r.u32());
     if (dim != dim_ || bits != bits_)
         r.fail(util::FormatErrorCode::Corrupt,
                "ScalarCodec shape mismatch on load");
-    trained_ = r.read<std::uint8_t>() != 0;
-    vmin_ = r.readVector<float>();
-    vdiff_ = r.readVector<float>();
+    trained_ = r.u8() != 0;
+    vmin_ = r.vec<float>();
+    vdiff_ = r.vec<float>();
     if (trained_ && (vmin_.size() != dim_ || vdiff_.size() != dim_))
         r.fail(util::FormatErrorCode::Corrupt,
                "ScalarCodec range tables have the wrong size");

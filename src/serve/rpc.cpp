@@ -1,5 +1,7 @@
 #include "serve/rpc.hpp"
 
+#include "util/serialize.hpp"
+
 namespace hermes {
 namespace serve {
 namespace rpc {
@@ -13,7 +15,7 @@ constexpr std::size_t kHitWireBytes = 12;
 constexpr std::size_t kMinResponseWireBytes = 36;
 
 void
-encodeParams(net::WireWriter &writer, std::size_t k,
+encodeParams(util::ByteWriter &writer, std::size_t k,
              const index::SearchParams &params, double deadline_ms)
 {
     writer.u64(k);
@@ -25,7 +27,7 @@ encodeParams(net::WireWriter &writer, std::size_t k,
 }
 
 void
-decodeParams(net::WireReader &reader, std::size_t &k,
+decodeParams(util::ByteReader &reader, std::size_t &k,
              index::SearchParams &params, double &deadline_ms)
 {
     k = reader.u64();
@@ -37,7 +39,7 @@ decodeParams(net::WireReader &reader, std::size_t &k,
 }
 
 void
-encodeStats(net::WireWriter &writer, const index::SearchStats &stats)
+encodeStats(util::ByteWriter &writer, const index::SearchStats &stats)
 {
     writer.u64(stats.lists_probed);
     writer.u64(stats.vectors_scanned);
@@ -46,7 +48,7 @@ encodeStats(net::WireWriter &writer, const index::SearchStats &stats)
 }
 
 index::SearchStats
-decodeStats(net::WireReader &reader)
+decodeStats(util::ByteReader &reader)
 {
     index::SearchStats stats;
     stats.lists_probed = reader.u64();
@@ -57,7 +59,7 @@ decodeStats(net::WireReader &reader)
 }
 
 void
-encodeHits(net::WireWriter &writer, const vecstore::HitList &hits)
+encodeHits(util::ByteWriter &writer, const vecstore::HitList &hits)
 {
     writer.u32(static_cast<std::uint32_t>(hits.size()));
     for (const auto &hit : hits) {
@@ -67,12 +69,12 @@ encodeHits(net::WireWriter &writer, const vecstore::HitList &hits)
 }
 
 vecstore::HitList
-decodeHits(net::WireReader &reader)
+decodeHits(util::ByteReader &reader)
 {
     std::uint32_t n = reader.u32();
     // Bound the claimed count by the bytes actually present before
     // reserving: a corrupt frame claiming ~4e9 hits must fail as a
-    // WireError, not as a multi-GB allocation attempt.
+    // FormatError, not as a multi-GB allocation attempt.
     reader.needCount(n, kHitWireBytes);
     vecstore::HitList hits;
     hits.reserve(n);
@@ -86,14 +88,14 @@ decodeHits(net::WireReader &reader)
 }
 
 void
-encodeOneResponse(net::WireWriter &writer, const NodeResponse &response)
+encodeOneResponse(util::ByteWriter &writer, const NodeResponse &response)
 {
     encodeHits(writer, response.hits);
     encodeStats(writer, response.stats);
 }
 
 NodeResponse
-decodeOneResponse(net::WireReader &reader)
+decodeOneResponse(util::ByteReader &reader)
 {
     NodeResponse response;
     response.hits = decodeHits(reader);
@@ -109,9 +111,9 @@ constexpr std::uint8_t kTraceContextFlag = 1;
 std::string
 encodeSearchRequest(const SearchRequest &request)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     encodeParams(writer, request.k, request.params, request.deadline_ms);
-    writer.floats(request.query.data(), request.query.size());
+    writer.vec(request.query);
     if (request.trace.active) {
         // Optional trailing block: a v2 shard reads it, a v1 shard
         // never receives it (Health-gated injection).
@@ -125,13 +127,14 @@ encodeSearchRequest(const SearchRequest &request)
 SearchRequest
 decodeSearchRequest(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     SearchRequest request;
     decodeParams(reader, request.k, request.params, request.deadline_ms);
-    request.query = reader.floats();
+    request.query = reader.vec<float>();
     if (!reader.atEnd()) {
         if (reader.u8() != kTraceContextFlag)
-            throw net::WireError("bad trace-context flag");
+            reader.fail(util::FormatErrorCode::Corrupt,
+                        "bad trace-context flag");
         request.trace.active = true;
         request.trace.trace_id = reader.u64();
         request.trace.parent_span_id = reader.u64();
@@ -143,10 +146,10 @@ decodeSearchRequest(std::string_view payload)
 std::string
 encodeSearchBatchRequest(const SearchBatchRequest &request)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     encodeParams(writer, request.k, request.params, request.deadline_ms);
     writer.u64(request.dim);
-    writer.floats(request.queries.data(), request.queries.size());
+    writer.vec(request.queries);
     std::uint32_t active = 0;
     for (const auto &trace : request.traces)
         active += trace.active ? 1 : 0;
@@ -167,13 +170,14 @@ encodeSearchBatchRequest(const SearchBatchRequest &request)
 SearchBatchRequest
 decodeSearchBatchRequest(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     SearchBatchRequest request;
     decodeParams(reader, request.k, request.params, request.deadline_ms);
     request.dim = reader.u64();
-    request.queries = reader.floats();
+    request.queries = reader.vec<float>();
     if (request.dim == 0 || request.queries.size() % request.dim != 0)
-        throw net::WireError("batch query block not a multiple of dim");
+        reader.fail(util::FormatErrorCode::Corrupt,
+                    "batch query block not a multiple of dim");
     if (!reader.atEnd()) {
         const std::size_t q = request.numQueries();
         std::uint32_t n = reader.u32();
@@ -181,12 +185,14 @@ decodeSearchBatchRequest(std::string_view payload)
         // remaining payload and the batch size before allocating.
         reader.needCount(n, 20);
         if (n > q)
-            throw net::WireError("more trace contexts than queries");
+            reader.fail(util::FormatErrorCode::Corrupt,
+                        "more trace contexts than queries");
         request.traces.assign(q, obs::TraceContextSnapshot{});
         for (std::uint32_t e = 0; e < n; ++e) {
             std::uint32_t slot = reader.u32();
             if (slot >= q)
-                throw net::WireError("trace context slot out of range");
+                reader.fail(util::FormatErrorCode::Corrupt,
+                            "trace context slot out of range");
             auto &trace = request.traces[slot];
             trace.active = true;
             trace.trace_id = reader.u64();
@@ -200,7 +206,7 @@ decodeSearchBatchRequest(std::string_view payload)
 std::string
 encodeSearchResponse(const NodeResponse &response)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     encodeOneResponse(writer, response);
     return writer.take();
 }
@@ -208,7 +214,7 @@ encodeSearchResponse(const NodeResponse &response)
 NodeResponse
 decodeSearchResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     NodeResponse response = decodeOneResponse(reader);
     reader.expectEnd();
     return response;
@@ -217,7 +223,7 @@ decodeSearchResponse(std::string_view payload)
 std::string
 encodeSearchBatchResponse(const std::vector<NodeResponse> &responses)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u32(static_cast<std::uint32_t>(responses.size()));
     for (const auto &response : responses)
         encodeOneResponse(writer, response);
@@ -227,7 +233,7 @@ encodeSearchBatchResponse(const std::vector<NodeResponse> &responses)
 std::vector<NodeResponse>
 decodeSearchBatchResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     std::uint32_t n = reader.u32();
     reader.needCount(n, kMinResponseWireBytes);
     std::vector<NodeResponse> responses;
@@ -241,7 +247,7 @@ decodeSearchBatchResponse(std::string_view payload)
 std::string
 encodeStatsResponse(const StatsResponse &response)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u64(response.stats.requests);
     writer.u64(response.stats.batches);
     writer.f64(response.stats.busy_seconds);
@@ -258,7 +264,7 @@ encodeStatsResponse(const StatsResponse &response)
 StatsResponse
 decodeStatsResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     StatsResponse response;
     response.stats.requests = reader.u64();
     response.stats.batches = reader.u64();
@@ -277,7 +283,7 @@ decodeStatsResponse(std::string_view payload)
 std::string
 encodeHealthRequest(std::uint32_t client_version)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u32(client_version);
     return writer.take();
 }
@@ -289,18 +295,19 @@ decodeHealthRequest(std::string_view payload)
     // payload entirely, which is what makes sending a version safe).
     if (payload.empty())
         return 1;
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     std::uint32_t version = reader.u32();
     reader.expectEnd();
     if (version == 0)
-        throw net::WireError("health request version 0");
+        reader.fail(util::FormatErrorCode::Corrupt,
+                    "health request version 0");
     return version;
 }
 
 std::string
 encodeHealthResponse(const HealthResponse &response)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u32(response.protocol_version);
     writer.u32(response.node_id);
     writer.u32(response.dim);
@@ -313,7 +320,7 @@ encodeHealthResponse(const HealthResponse &response)
 HealthResponse
 decodeHealthResponse(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     HealthResponse response;
     response.protocol_version = reader.u32();
     response.node_id = reader.u32();
@@ -330,7 +337,7 @@ decodeHealthResponse(std::string_view payload)
 std::string
 encodeError(ErrorCode code, const std::string &message)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u32(static_cast<std::uint32_t>(code));
     writer.str(message);
     return writer.take();
@@ -339,7 +346,7 @@ encodeError(ErrorCode code, const std::string &message)
 ErrorBody
 decodeError(std::string_view payload)
 {
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     ErrorBody body;
     body.code = static_cast<ErrorCode>(reader.u32());
     body.message = reader.str();

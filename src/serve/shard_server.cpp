@@ -299,7 +299,7 @@ ShardServer::dispatch(net::Socket &socket, const net::Frame &frame)
         try {
             request = rpc::decodeSearchRequest(frame.payload);
         } catch (const std::exception &e) {
-            // std::exception, not just WireError: a hostile length
+            // std::exception, not just FormatError: a hostile length
             // prefix that slips past validation must surface as a
             // BadRequest reply, never escape the connection thread.
             return sendError(socket, frame.id, rpc::ErrorCode::BadRequest,

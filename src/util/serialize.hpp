@@ -1,40 +1,47 @@
 /**
  * @file
- * Binary serialization for index save/load.
+ * The one byte codec: util::ByteWriter / util::ByteReader, plus the
+ * typed FormatError every parser of file or peer bytes throws.
  *
- * Format: little-endian, length-prefixed, with a per-archive magic + version
- * header so stale files fail loudly instead of deserializing garbage.
+ * Layout: native-endian POD values, vectors with a u64 element-count
+ * prefix, strings with a u32 byte-count prefix. The same classes encode
+ * RPC payloads (serve/rpc.cpp), codec parameter blobs (the HIV3
+ * CodecParams section) and the HMAT matrix file, so there is one set
+ * of bounds checks to get right.
  *
- * Two failure disciplines coexist:
- *  - File-backed readers opened with the (path, magic, version) ctor keep
- *    the historical fatal-on-corruption behavior (a CLI tool pointed at a
- *    bad file should exit with a clean message).
- *  - Memory-backed readers (used to parse untrusted sections of the v3
- *    mmap index format) throw a typed FormatError instead, so a serving
- *    process can reject a corrupt file and keep running.
+ * Every rejection — a read past the end, a length prefix larger than
+ * the bytes actually present, trailing bytes — throws FormatError
+ * naming the reader's label. Nothing here terminates the process: a
+ * server refuses one bad frame or file and keeps running, and binaries
+ * turn the throw into a clean exit at their entry point
+ * (core::loadOrFatal).
+ *
+ * Endianness: values are memcpy'd in host byte order, so broker and
+ * shards must share an architecture (all supported targets are
+ * little-endian). A big-endian peer would mis-decode despite a matching
+ * protocol version; a handshake-level guard, not silent byte-swapping,
+ * is the intended extension point if that ever matters.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
-
-#include "util/logging.hpp"
 
 namespace hermes {
 namespace util {
 
 /** What exactly a reader rejected about a malformed artifact. */
 enum class FormatErrorCode {
-    Io,        ///< open / stat / map failed
+    Io,        ///< open / stat / map / write failed
     BadMagic,  ///< wrong magic tag
     BadVersion,///< unsupported format version
-    Truncated, ///< file ends before the structure it promises
+    Truncated, ///< input ends before the structure it promises
     Corrupt,   ///< internal inconsistency (bounds, counts, padding)
     Checksum,  ///< stored checksum does not match the bytes
 };
@@ -43,9 +50,9 @@ enum class FormatErrorCode {
 const char *formatErrorCodeName(FormatErrorCode code);
 
 /**
- * Typed rejection of a malformed on-disk artifact. Thrown (never fatal)
- * by the memory-backed reader and the v3 index parser, so callers can
- * refuse one bad file without taking the process down.
+ * Typed rejection of malformed file or peer bytes. Thrown (never fatal)
+ * by ByteReader and the v3 index parser, so callers can refuse one bad
+ * input without taking the process down.
  */
 class FormatError : public std::runtime_error
 {
@@ -68,139 +75,163 @@ class FormatError : public std::runtime_error
 std::uint32_t crc32(const void *data, std::size_t n,
                     std::uint32_t seed = 0);
 
-/** Streaming binary writer. */
-class BinaryWriter
+/** Append-only byte writer into a std::string. */
+class ByteWriter
 {
   public:
-    /**
-     * Open @p path and emit the archive header.
-     * @param magic   Four-character archive tag (e.g. "HIVF").
-     * @param version Format version number.
-     */
-    BinaryWriter(const std::string &path, const std::string &magic,
-                 std::uint32_t version);
+    void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
+    void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
+    void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
+    void i64(std::int64_t v) { raw(&v, sizeof(v)); }
+    void f32(float v) { raw(&v, sizeof(v)); }
+    void f64(double v) { raw(&v, sizeof(v)); }
 
-    /**
-     * Write to an externally-owned stream with no archive header —
-     * used to serialize sub-structures (codec parameter blobs) into a
-     * section of a containing format. @p out must outlive the writer.
-     */
-    explicit BinaryWriter(std::ostream &out);
-
-    /** Write one trivially-copyable value. */
+    /** u64 element count, then the trivially-copyable elements. */
     template <typename T>
     void
-    write(const T &value)
+    vec(const std::vector<T> &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        out_->write(reinterpret_cast<const char *>(&value), sizeof(T));
+        u64(v.size());
+        raw(v.data(), v.size() * sizeof(T));
     }
 
-    /** Write a length-prefixed vector of trivially-copyable elements. */
-    template <typename T>
+    /** u32 byte count, then the bytes. */
     void
-    writeVector(const std::vector<T> &v)
+    str(std::string_view s)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        write<std::uint64_t>(v.size());
-        if (!v.empty()) {
-            out_->write(reinterpret_cast<const char *>(v.data()),
-                        static_cast<std::streamsize>(v.size() * sizeof(T)));
-        }
+        u32(static_cast<std::uint32_t>(s.size()));
+        raw(s.data(), s.size());
     }
 
-    /** Write a length-prefixed string. */
-    void writeString(const std::string &s);
+    /** Unprefixed bytes (magic tags). */
+    void
+    raw(const void *data, std::size_t n)
+    {
+        buffer_.append(static_cast<const char *>(data), n);
+    }
 
-    /** True if all writes so far succeeded. */
-    bool good() const { return out_->good(); }
+    const std::string &buffer() const { return buffer_; }
+    std::string take() { return std::move(buffer_); }
 
   private:
-    std::ofstream file_;
-    std::ostream *out_;
+    std::string buffer_;
 };
 
-/** Streaming binary reader that validates the archive header. */
-class BinaryReader
+/**
+ * Bounds-checked reader over a span of untrusted bytes. Length prefixes
+ * are checked against the bytes actually present before any allocation
+ * is sized from them.
+ */
+class ByteReader
 {
   public:
-    /**
-     * Open @p path and validate magic/version; fatal on mismatch.
-     */
-    BinaryReader(const std::string &path, const std::string &magic,
-                 std::uint32_t expected_version);
-
-    /**
-     * Read from an in-memory buffer with no archive header (the
-     * counterpart of BinaryWriter(std::ostream&)). Corruption throws
-     * FormatError instead of terminating. @p name labels errors.
-     */
-    BinaryReader(const void *data, std::size_t size, std::string name);
-
-    /** Read one trivially-copyable value. */
-    template <typename T>
-    T
-    read()
+    /** @p label prefixes every error message (a path or "wire"). */
+    explicit ByteReader(std::string_view data, std::string label = "wire")
+        : data_(data), label_(std::move(label))
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        T value{};
-        in_->read(reinterpret_cast<char *>(&value), sizeof(T));
-        if (!in_->good())
-            fail(FormatErrorCode::Truncated, "truncated archive");
-        return value;
     }
 
-    /**
-     * Read a length-prefixed vector. The length prefix is validated
-     * against the bytes actually left in the file before allocating, so
-     * a truncated or corrupt archive fails with a clean error naming the
-     * path instead of a multi-GB allocation or bad_alloc.
-     */
+    ByteReader(const void *data, std::size_t size, std::string label)
+        : ByteReader(std::string_view(static_cast<const char *>(data), size),
+                     std::move(label))
+    {
+    }
+
+    std::uint8_t u8() { return pod<std::uint8_t>(); }
+    std::uint32_t u32() { return pod<std::uint32_t>(); }
+    std::uint64_t u64() { return pod<std::uint64_t>(); }
+    std::int64_t i64() { return pod<std::int64_t>(); }
+    float f32() { return pod<float>(); }
+    double f64() { return pod<double>(); }
+
+    /** u64 element count, then that many trivially-copyable elements. */
     template <typename T>
     std::vector<T>
-    readVector()
+    vec()
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        auto n = read<std::uint64_t>();
-        // Divide rather than multiply so a hostile prefix cannot
-        // overflow the byte count.
-        if (n > remainingBytes() / sizeof(T)) {
+        const std::uint64_t n = u64();
+        needCount(n, sizeof(T));
+        std::vector<T> out(static_cast<std::size_t>(n));
+        if (n)
+            std::memcpy(out.data(), raw(n * sizeof(T)).data(),
+                        n * sizeof(T));
+        return out;
+    }
+
+    /** u32 byte count, then the bytes. */
+    std::string
+    str()
+    {
+        const std::uint32_t n = u32();
+        needCount(n, 1);
+        return std::string(raw(n));
+    }
+
+    /** The next @p n bytes, unprefixed (magic tags). */
+    std::string_view
+    raw(std::size_t n)
+    {
+        if (n > remaining())
+            fail(FormatErrorCode::Truncated,
+                 "truncated: need " + std::to_string(n) + " bytes, have " +
+                     std::to_string(remaining()));
+        std::string_view out(data_.data() + pos_, n);
+        pos_ += n;
+        return out;
+    }
+
+    /** Bytes not yet consumed. */
+    std::size_t remaining() const { return data_.size() - pos_; }
+
+    /**
+     * Throws Corrupt unless @p n elements of @p elem_size bytes each
+     * could still be present. Divides, never multiplies: @p n is
+     * untrusted and n * elem_size can wrap mod 2^64. Callers may size
+     * containers from @p n once it passes.
+     */
+    void
+    needCount(std::uint64_t n, std::size_t elem_size) const
+    {
+        if (n > remaining() / elem_size)
             fail(FormatErrorCode::Corrupt,
-                 detail::concat("vector length ", n, " (", sizeof(T),
-                                "-byte elements) exceeds the ",
-                                remainingBytes(),
-                                " bytes left in the file"));
-        }
-        std::vector<T> v(n);
-        if (n) {
-            in_->read(reinterpret_cast<char *>(v.data()),
-                      static_cast<std::streamsize>(n * sizeof(T)));
-            if (!in_->good())
-                fail(FormatErrorCode::Truncated,
-                     "truncated archive vector");
-        }
+                 "element count " + std::to_string(n) + " x " +
+                     std::to_string(elem_size) + " bytes exceeds the " +
+                     std::to_string(remaining()) + " bytes left");
+    }
+
+    bool atEnd() const { return pos_ == data_.size(); }
+
+    /** Throws Corrupt unless every byte was consumed. */
+    void
+    expectEnd() const
+    {
+        if (!atEnd())
+            fail(FormatErrorCode::Corrupt,
+                 std::to_string(remaining()) + " trailing bytes");
+    }
+
+    /** Reject the input: throws FormatError("<label>: <msg>"). */
+    [[noreturn]] void
+    fail(FormatErrorCode code, const std::string &msg) const
+    {
+        throw FormatError(code, label_ + ": " + msg);
+    }
+
+  private:
+    template <typename T>
+    T
+    pod()
+    {
+        T v;
+        std::memcpy(&v, raw(sizeof(T)).data(), sizeof(T));
         return v;
     }
 
-    /** Read a length-prefixed string (length validated like readVector). */
-    std::string readString();
-
-    /** Bytes between the current read position and end of file. */
-    std::uint64_t remainingBytes();
-
-    /**
-     * Reject the archive: throws FormatError in memory mode, fatals
-     * with the historical message in file mode. [[noreturn]].
-     */
-    [[noreturn]] void fail(FormatErrorCode code, const std::string &msg);
-
-  private:
-    std::ifstream file_;
-    std::istringstream mem_;
-    std::istream *in_;
-    std::string path_;
-    std::uint64_t file_size_ = 0;
-    bool throw_on_error_ = false;
+    std::string_view data_;
+    std::size_t pos_ = 0;
+    std::string label_;
 };
 
 } // namespace util

@@ -1,12 +1,16 @@
 #include "vecstore/matrix.hpp"
 
+#include <fstream>
+
 #include "util/logging.hpp"
+#include "util/mmap_file.hpp"
 #include "util/serialize.hpp"
 
 namespace hermes {
 namespace vecstore {
 
 namespace {
+constexpr char kMatrixMagic[] = "HMAT";
 constexpr std::uint32_t kMatrixVersion = 1;
 } // namespace
 
@@ -70,21 +74,44 @@ Matrix::gather(const std::vector<std::size_t> &indices) const
 void
 Matrix::save(const std::string &path) const
 {
-    util::BinaryWriter w(path, "HMAT", kMatrixVersion);
-    w.write<std::uint64_t>(dim_);
-    w.writeVector(data_);
-    HERMES_ASSERT(w.good(), "matrix save failed: ", path);
+    // Header through the byte codec, then the payload straight from
+    // data_: the same bytes as ByteWriter::vec without a second copy
+    // of the matrix.
+    util::ByteWriter header;
+    header.raw(kMatrixMagic, 4);
+    header.u32(kMatrixVersion);
+    header.u64(dim_);
+    header.u64(data_.size());
+    std::ofstream out(path, std::ios::binary);
+    out.write(header.buffer().data(),
+              static_cast<std::streamsize>(header.buffer().size()));
+    out.write(reinterpret_cast<const char *>(data_.data()),
+              static_cast<std::streamsize>(memoryBytes()));
+    out.close();
+    if (!out)
+        throw util::FormatError(util::FormatErrorCode::Io,
+                                path + ": cannot write matrix");
 }
 
 Matrix
 Matrix::load(const std::string &path)
 {
-    util::BinaryReader r(path, "HMAT", kMatrixVersion);
-    auto dim = r.read<std::uint64_t>();
-    Matrix m(static_cast<std::size_t>(dim));
-    m.data_ = r.readVector<float>();
-    HERMES_ASSERT(dim == 0 || m.data_.size() % dim == 0,
-                  "corrupt matrix payload in ", path);
+    util::MmapFile file(path);
+    util::ByteReader r(file.data(), file.size(), path);
+    if (r.raw(4) != std::string_view(kMatrixMagic, 4))
+        r.fail(util::FormatErrorCode::BadMagic,
+               "bad archive magic (expected HMAT)");
+    const std::uint32_t version = r.u32();
+    if (version != kMatrixVersion)
+        r.fail(util::FormatErrorCode::BadVersion,
+               "archive version " + std::to_string(version) +
+                   ", expected " + std::to_string(kMatrixVersion));
+    Matrix m(static_cast<std::size_t>(r.u64()));
+    m.data_ = r.vec<float>();
+    r.expectEnd();
+    if (m.dim_ == 0 ? !m.data_.empty() : m.data_.size() % m.dim_ != 0)
+        r.fail(util::FormatErrorCode::Corrupt,
+               "payload is not a whole number of rows");
     return m;
 }
 

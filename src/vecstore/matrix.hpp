@@ -62,10 +62,17 @@ class Matrix
      */
     Matrix gather(const std::vector<std::size_t> &indices) const;
 
-    /** Persist to a binary file. */
+    /**
+     * Persist to an HMAT file: "HMAT", u32 version, u64 dim, then the
+     * row-major floats with a u64 count prefix.
+     * @throws util::FormatError (Io) when the file cannot be written.
+     */
     void save(const std::string &path) const;
 
-    /** Load from a binary file written by save(). */
+    /**
+     * Load an HMAT file written by save().
+     * @throws util::FormatError on a missing, truncated or corrupt file.
+     */
     static Matrix load(const std::string &path);
 
   private:

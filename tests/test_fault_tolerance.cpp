@@ -498,35 +498,33 @@ TEST(AdaptiveEpsilonIp, BrokerMatchesCoreStrategyOnIpStore)
 // Corrupt archive rejection
 // ---------------------------------------------------------------------------
 
-TEST(CorruptArchive, HostileVectorLengthPrefixIsFatalNotBadAlloc)
+TEST(CorruptArchive, HostileVectorLengthPrefixThrowsNotBadAlloc)
 {
-    auto path =
-        std::filesystem::temp_directory_path() / "hostile_prefix.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 1);
-        // A corrupt/hostile length prefix claiming ~10^18 floats.
-        w.write<std::uint64_t>(1ull << 60);
-        ASSERT_TRUE(w.good());
+    util::ByteWriter w;
+    // A corrupt/hostile length prefix claiming ~10^18 floats.
+    w.u64(1ull << 60);
+    util::ByteReader r(w.buffer(), "hostile_prefix.bin");
+    try {
+        (void)r.vec<float>();
+        ADD_FAILURE() << "hostile vector prefix decoded";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Corrupt);
+        EXPECT_NE(std::string(e.what()).find("hostile_prefix.bin"),
+                  std::string::npos);
     }
-    util::BinaryReader r(path.string(), "HTST", 1);
-    EXPECT_EXIT((void)r.readVector<float>(),
-                ::testing::ExitedWithCode(1), "corrupt archive");
-    std::filesystem::remove(path);
 }
 
-TEST(CorruptArchive, HostileStringLengthPrefixIsFatal)
+TEST(CorruptArchive, HostileStringLengthPrefixThrows)
 {
-    auto path =
-        std::filesystem::temp_directory_path() / "hostile_string.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 1);
-        w.write<std::uint64_t>(1ull << 40);
-        ASSERT_TRUE(w.good());
+    util::ByteWriter w;
+    w.u32(1u << 30);
+    util::ByteReader r(w.buffer(), "hostile_string.bin");
+    try {
+        (void)r.str();
+        ADD_FAILURE() << "hostile string prefix decoded";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Corrupt);
     }
-    util::BinaryReader r(path.string(), "HTST", 1);
-    EXPECT_EXIT((void)r.readString(),
-                ::testing::ExitedWithCode(1), "corrupt archive");
-    std::filesystem::remove(path);
 }
 
 TEST(CorruptArchive, TruncatedIndexFileIsRejectedOnLoad)

@@ -21,7 +21,6 @@
 #include "core/distributed_store.hpp"
 #include "net/frame.hpp"
 #include "net/net.hpp"
-#include "net/wire.hpp"
 #include "obs/exporter.hpp"
 #include "serve/broker.hpp"
 #include "serve/remote_node.hpp"
@@ -29,6 +28,7 @@
 #include "serve/rpc.hpp"
 #include "serve/shard_server.hpp"
 #include "util/minijson.hpp"
+#include "util/serialize.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -96,11 +96,11 @@ netServeData()
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Wire codec
+// Wire codec (util::ByteWriter / ByteReader)
 
 TEST(Wire, RoundTrip)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u8(7);
     writer.u32(0xdeadbeefu);
     writer.u64(0x0123456789abcdefull);
@@ -109,10 +109,10 @@ TEST(Wire, RoundTrip)
     writer.f64(-2.25);
     writer.str("hello");
     std::vector<float> floats = {0.0f, -1.0f, 3.25f};
-    writer.floats(floats.data(), floats.size());
+    writer.vec(floats);
     std::string payload = writer.take();
 
-    net::WireReader reader(payload);
+    util::ByteReader reader(payload);
     EXPECT_EQ(reader.u8(), 7u);
     EXPECT_EQ(reader.u32(), 0xdeadbeefu);
     EXPECT_EQ(reader.u64(), 0x0123456789abcdefull);
@@ -120,56 +120,56 @@ TEST(Wire, RoundTrip)
     EXPECT_EQ(reader.f32(), 1.5f);
     EXPECT_EQ(reader.f64(), -2.25);
     EXPECT_EQ(reader.str(), "hello");
-    EXPECT_EQ(reader.floats(), floats);
+    EXPECT_EQ(reader.vec<float>(), floats);
     EXPECT_TRUE(reader.atEnd());
     EXPECT_NO_THROW(reader.expectEnd());
 }
 
 TEST(Wire, TruncationAndTrailingGarbageThrow)
 {
-    net::WireWriter writer;
+    util::ByteWriter writer;
     writer.u64(1);
     writer.str("payload");
     std::string payload = writer.take();
 
     // Every proper prefix must throw, never decode short.
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-        net::WireReader reader(
+        util::ByteReader reader(
             std::string_view(payload.data(), cut));
         EXPECT_THROW(
             {
                 reader.u64();
                 reader.str();
             },
-            net::WireError)
+            util::FormatError)
             << "prefix length " << cut;
     }
 
     std::string padded = payload + '\0';
-    net::WireReader reader(padded);
+    util::ByteReader reader(padded);
     reader.u64();
     reader.str();
-    EXPECT_THROW(reader.expectEnd(), net::WireError);
+    EXPECT_THROW(reader.expectEnd(), util::FormatError);
 }
 
 TEST(Wire, FloatCountOverflowThrowsInsteadOfAllocating)
 {
     // A count chosen so n * sizeof(float) wraps mod 2^64 to 4: the old
     // need(n * 4) check passed, then std::vector<float>(n) threw
-    // length_error — which escaped WireError-only catches and
-    // std::terminate'd the connection thread. It must be a WireError
-    // raised before any allocation is sized from n.
-    net::WireWriter writer;
+    // length_error — which escaped catches of the codec's own error
+    // type and std::terminate'd the connection thread. It must be a
+    // FormatError raised before any allocation is sized from n.
+    util::ByteWriter writer;
     writer.u64((1ull << 62) + 1);
     writer.f32(0.0f); // the 4 "available" bytes the wrapped check saw
-    net::WireReader reader(writer.buffer());
-    EXPECT_THROW(reader.floats(), net::WireError);
+    util::ByteReader reader(writer.buffer());
+    EXPECT_THROW(reader.vec<float>(), util::FormatError);
 
     // A huge non-wrapping count must also be rejected pre-allocation.
-    net::WireWriter big;
+    util::ByteWriter big;
     big.u64(0xffffffffffffffffull);
-    net::WireReader big_reader(big.buffer());
-    EXPECT_THROW(big_reader.floats(), net::WireError);
+    util::ByteReader big_reader(big.buffer());
+    EXPECT_THROW(big_reader.vec<float>(), util::FormatError);
 }
 
 // ---------------------------------------------------------------------------
@@ -469,28 +469,28 @@ TEST(Rpc, DecodeRejectsTruncatedAndTrailingBytes)
 
     EXPECT_THROW(serve::rpc::decodeSearchRequest(
                      std::string_view(payload.data(), payload.size() - 1)),
-                 net::WireError);
+                 util::FormatError);
     EXPECT_THROW(serve::rpc::decodeSearchRequest(payload + 'x'),
-                 net::WireError);
+                 util::FormatError);
 }
 
 TEST(Rpc, DecodeBoundsClaimedCountsByPayloadSize)
 {
     // Hit/response counts are untrusted u32s off the wire; a claim of
-    // ~4e9 elements over a tiny payload must throw WireError before
+    // ~4e9 elements over a tiny payload must throw FormatError before
     // reserve() attempts a multi-GB allocation (bad_alloc previously
-    // escaped the WireError-only catches on broker worker threads).
-    net::WireWriter hits;
+    // escaped the codec-error-only catches on broker worker threads).
+    util::ByteWriter hits;
     hits.u32(0xfffffffeu);
     hits.i64(3);
     hits.f32(1.0f);
     EXPECT_THROW(serve::rpc::decodeSearchResponse(hits.buffer()),
-                 net::WireError);
+                 util::FormatError);
 
-    net::WireWriter batch;
+    util::ByteWriter batch;
     batch.u32(0xfffffffeu);
     EXPECT_THROW(serve::rpc::decodeSearchBatchResponse(batch.buffer()),
-                 net::WireError);
+                 util::FormatError);
 }
 
 // ---------------------------------------------------------------------------
@@ -660,7 +660,7 @@ TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
 {
     // Regression for the wire-codec overflow: a crafted SearchRequest
     // whose float-count prefix wraps n * sizeof(float) mod 2^64 used
-    // to throw std::length_error past the WireError-only catch in
+    // to throw std::length_error past the codec-error-only catch in
     // dispatch(), escaping the connection thread and std::terminate'ing
     // the shard process. It must answer BadRequest and keep serving.
     const auto &data = netServeData();
@@ -673,7 +673,7 @@ TEST(ShardRpc, OverflowingLengthPrefixAnsweredAsBadRequest)
         net::connectTo("127.0.0.1", server.port(), 1000.0, &error);
     ASSERT_TRUE(client.valid()) << error;
 
-    net::WireWriter evil;
+    util::ByteWriter evil;
     evil.u64(1);                // k
     evil.u64(1);                // nprobe
     evil.u64(0);                // ef_search

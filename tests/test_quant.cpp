@@ -146,24 +146,33 @@ TEST_P(CodecContract, DistanceComputerMatchesDecodedDistanceIP)
 
 TEST_P(CodecContract, SaveLoadPreservesCodes)
 {
-    auto path = std::filesystem::temp_directory_path() /
-                ("hermes_codec_" + GetParam() + ".bin");
-    {
-        hermes::util::BinaryWriter w(path.string(), "HCDC", 1);
-        codec_->save(w);
-    }
+    hermes::util::ByteWriter w;
+    codec_->save(w);
     auto fresh = makeCodec(GetParam(), kDim);
-    {
-        hermes::util::BinaryReader r(path.string(), "HCDC", 1);
-        fresh->load(r);
-    }
+    hermes::util::ByteReader r(w.buffer(), "codec");
+    fresh->load(r);
+    EXPECT_TRUE(r.atEnd()) << "codec " << GetParam();
     std::vector<std::uint8_t> a(codec_->codeSize()), b(fresh->codeSize());
     for (std::size_t i = 0; i < 10; ++i) {
         codec_->encode(data_.row(i), a.data());
         fresh->encode(data_.row(i), b.data());
         EXPECT_EQ(a, b) << "codec " << GetParam();
     }
-    std::filesystem::remove(path);
+}
+
+TEST_P(CodecContract, EveryTruncatedBlobThrows)
+{
+    hermes::util::ByteWriter w;
+    codec_->save(w);
+    const std::string &blob = w.buffer();
+    // Every proper prefix must be rejected, never decoded short.
+    auto fresh = makeCodec(GetParam(), kDim);
+    for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+        hermes::util::ByteReader r(std::string_view(blob.data(), cut),
+                                   "codec");
+        EXPECT_THROW(fresh->load(r), hermes::util::FormatError)
+            << "codec " << GetParam() << " prefix length " << cut;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecContract,

@@ -2,7 +2,8 @@
  * @file
  * Negative-path robustness suite: misuse of every public API must fail
  * loudly (panic/fatal) rather than corrupt state — the gem5 error
- * discipline (panic = internal bug, fatal = user error).
+ * discipline (panic = internal bug, fatal = user error). Malformed file
+ * bytes are input, not misuse: they throw a typed util::FormatError.
  */
 
 #include <gtest/gtest.h>
@@ -40,41 +41,53 @@ smallData(std::size_t rows = 64, std::size_t dim = 8)
     return m;
 }
 
-TEST(Robustness, ArchiveBadMagicIsFatal)
+/** Write @p bytes to a temp file and return Matrix::load's error code. */
+util::FormatErrorCode
+matrixLoadError(const std::string &name, const std::string &bytes)
 {
-    auto path = std::filesystem::temp_directory_path() / "bad_magic.bin";
+    auto path = std::filesystem::temp_directory_path() / name;
     {
         std::ofstream out(path, std::ios::binary);
-        out << "XXXXGARBAGE";
+        out << bytes;
     }
-    EXPECT_EXIT((void)util::BinaryReader(path.string(), "HIVF", 1),
-                ::testing::ExitedWithCode(1), "bad archive magic");
+    util::FormatErrorCode code = util::FormatErrorCode::Io;
+    try {
+        (void)Matrix::load(path.string());
+        ADD_FAILURE() << name << " loaded";
+    } catch (const util::FormatError &e) {
+        code = e.code();
+        EXPECT_NE(std::string(e.what()).find(path.string()),
+                  std::string::npos);
+    }
     std::filesystem::remove(path);
+    return code;
 }
 
-TEST(Robustness, ArchiveVersionMismatchIsFatal)
+TEST(Robustness, ArchiveBadMagicThrows)
 {
-    auto path = std::filesystem::temp_directory_path() / "bad_ver.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 7);
-        w.write<int>(1);
-    }
-    EXPECT_EXIT((void)util::BinaryReader(path.string(), "HTST", 8),
-                ::testing::ExitedWithCode(1), "version mismatch");
-    std::filesystem::remove(path);
+    EXPECT_EQ(matrixLoadError("bad_magic.bin", "XXXXGARBAGE"),
+              util::FormatErrorCode::BadMagic);
 }
 
-TEST(Robustness, TruncatedArchivePanics)
+TEST(Robustness, ArchiveVersionMismatchThrows)
 {
-    auto path = std::filesystem::temp_directory_path() / "truncated.bin";
-    {
-        util::BinaryWriter w(path.string(), "HTST", 1);
-        w.write<std::uint8_t>(1);
-    }
-    util::BinaryReader r(path.string(), "HTST", 1);
-    (void)r.read<std::uint8_t>();
-    EXPECT_DEATH((void)r.read<std::uint64_t>(), "truncated");
-    std::filesystem::remove(path);
+    util::ByteWriter w;
+    w.raw("HMAT", 4);
+    w.u32(7);
+    w.u64(1);
+    w.vec(std::vector<float>{1.f});
+    EXPECT_EQ(matrixLoadError("bad_ver.bin", w.buffer()),
+              util::FormatErrorCode::BadVersion);
+}
+
+TEST(Robustness, TruncatedArchiveThrows)
+{
+    util::ByteWriter w;
+    w.raw("HMAT", 4);
+    w.u32(1);
+    w.u8(1); // first byte of the u64 dim
+    EXPECT_EQ(matrixLoadError("truncated.bin", w.buffer()),
+              util::FormatErrorCode::Truncated);
 }
 
 TEST(Robustness, MatrixRowOutOfRangePanics)

@@ -8,11 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
-#include "../tools/tool_common.hpp"
-
+#include "core/manifest.hpp"
 #include "core/search_strategy.hpp"
 #include "util/argparse.hpp"
+#include "util/serialize.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -71,7 +72,7 @@ TEST(Manifest, SaveLoadRoundTrip)
     auto dir = std::filesystem::temp_directory_path() / "hermes_manifest";
     std::filesystem::create_directories(dir);
 
-    tools::Manifest manifest;
+    core::Manifest manifest;
     manifest.type = "clustered";
     manifest.num_clusters = 3;
     manifest.dim = 16;
@@ -79,12 +80,75 @@ TEST(Manifest, SaveLoadRoundTrip)
     manifest.cluster_files = {"a.hivf", "b.hivf", "c.hivf"};
     manifest.save(dir);
 
-    auto loaded = tools::Manifest::load(dir);
+    auto loaded = core::Manifest::load(dir);
     EXPECT_EQ(loaded.type, "clustered");
     EXPECT_EQ(loaded.num_clusters, 3u);
     EXPECT_EQ(loaded.dim, 16u);
     EXPECT_EQ(loaded.codec, "SQ4");
     EXPECT_EQ(loaded.cluster_files, manifest.cluster_files);
+    std::filesystem::remove_all(dir);
+}
+
+/** Write @p text as dir/manifest.txt and return the load's error code. */
+util::FormatErrorCode
+manifestLoadError(const std::filesystem::path &dir, const std::string &text)
+{
+    std::filesystem::create_directories(dir);
+    {
+        std::ofstream out(dir / "manifest.txt");
+        out << text;
+    }
+    try {
+        (void)core::Manifest::load(dir);
+    } catch (const util::FormatError &e) {
+        return e.code();
+    }
+    ADD_FAILURE() << "manifest loaded: " << text;
+    return util::FormatErrorCode::Io;
+}
+
+const char kGoodManifest[] = "type=clustered\nnum_clusters=1\ndim=16\n"
+                             "codec=SQ8\ncorpus=corpus.hmat\n"
+                             "centroids=centroids.hmat\ncluster_0=a.hivf\n";
+
+TEST(Manifest, MissingFileThrowsIo)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_no_manifest";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    try {
+        (void)core::Manifest::load(dir);
+        ADD_FAILURE() << "missing manifest.txt loaded";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Io);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Manifest, MissingKeyThrowsCorrupt)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_bad_manifest";
+    std::string text = kGoodManifest;
+    text.erase(text.find("codec="), std::string("codec=SQ8\n").size());
+    EXPECT_EQ(manifestLoadError(dir, text), util::FormatErrorCode::Corrupt);
+    // A cluster file the count promises but the manifest lacks.
+    text = kGoodManifest;
+    text.replace(text.find("num_clusters=1"), 14, "num_clusters=2");
+    EXPECT_EQ(manifestLoadError(dir, text), util::FormatErrorCode::Corrupt);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Manifest, NonNumericCountThrowsCorrupt)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_bad_count";
+    for (const char *bad : {"dim=abc", "dim=16x", "dim=-1", "dim=",
+                            "dim=99999999999999999999999"}) {
+        std::string text = kGoodManifest;
+        text.replace(text.find("dim=16"), 6, bad);
+        EXPECT_EQ(manifestLoadError(dir, text),
+                  util::FormatErrorCode::Corrupt)
+            << bad;
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -109,7 +173,7 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
     auto dir =
         std::filesystem::temp_directory_path() / "hermes_assembly";
     std::filesystem::create_directories(dir);
-    tools::Manifest manifest;
+    core::Manifest manifest;
     manifest.num_clusters = store.numClusters();
     manifest.dim = corpus.embeddings.dim();
     corpus.embeddings.save((dir / manifest.corpus_file).string());
@@ -121,8 +185,8 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
     }
     manifest.save(dir);
 
-    auto reloaded = tools::loadStore(dir, tools::Manifest::load(dir),
-                                     config);
+    auto reloaded = core::loadStore(dir, core::Manifest::load(dir),
+                                    config, core::StoreLoadMode::kHeap);
     EXPECT_EQ(reloaded.numClusters(), store.numClusters());
     EXPECT_EQ(reloaded.totalVectors(), store.totalVectors());
 

@@ -18,7 +18,6 @@
 #include "core/distributed_store.hpp"
 #include "net/frame.hpp"
 #include "net/net.hpp"
-#include "net/wire.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +27,7 @@
 #include "serve/shard_server.hpp"
 #include "serve/trace_merge.hpp"
 #include "util/minijson.hpp"
+#include "util/serialize.hpp"
 #include "workload/corpus.hpp"
 
 namespace {
@@ -153,14 +153,14 @@ TEST(RpcV2, SearchBatchSparseTraceRoundTrip)
     // A trailing slot index beyond the query count is hostile input,
     // not a context to adopt.
     std::string payload = serve::rpc::encodeSearchBatchRequest(untraced);
-    net::WireWriter bad;
+    util::ByteWriter bad;
     bad.u32(1);
     bad.u32(7); // slot 7 of 3
     bad.u64(1);
     bad.u64(2);
     EXPECT_THROW(
         serve::rpc::decodeSearchBatchRequest(payload + bad.buffer()),
-        net::WireError);
+        util::FormatError);
 }
 
 TEST(RpcV2, HealthVersionNegotiationAndClock)
@@ -171,10 +171,10 @@ TEST(RpcV2, HealthVersionNegotiationAndClock)
                   serve::rpc::encodeHealthRequest(2)),
               2u);
     EXPECT_EQ(serve::rpc::decodeHealthRequest(std::string_view()), 1u);
-    net::WireWriter zero;
+    util::ByteWriter zero;
     zero.u32(0);
     EXPECT_THROW(serve::rpc::decodeHealthRequest(zero.buffer()),
-                 net::WireError);
+                 util::FormatError);
 
     serve::rpc::HealthResponse health;
     health.protocol_version = 2;

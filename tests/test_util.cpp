@@ -292,23 +292,16 @@ TEST(Csv, WritesEscapedRows)
 
 TEST(Serialize, RoundTripsValuesVectorsStrings)
 {
-    auto path =
-        std::filesystem::temp_directory_path() / "hermes_ser_test.bin";
     std::vector<float> payload{1.5f, -2.0f, 3.25f};
-    {
-        BinaryWriter w(path.string(), "HTST", 3);
-        w.write<std::uint32_t>(0xdeadbeef);
-        w.writeVector(payload);
-        w.writeString("hello world");
-        ASSERT_TRUE(w.good());
-    }
-    {
-        BinaryReader r(path.string(), "HTST", 3);
-        EXPECT_EQ(r.read<std::uint32_t>(), 0xdeadbeefu);
-        EXPECT_EQ(r.readVector<float>(), payload);
-        EXPECT_EQ(r.readString(), "hello world");
-    }
-    std::filesystem::remove(path);
+    ByteWriter w;
+    w.u32(0xdeadbeef);
+    w.vec(payload);
+    w.str("hello world");
+    ByteReader r(w.buffer(), "test");
+    EXPECT_EQ(r.u32(), 0xdeadbeefu);
+    EXPECT_EQ(r.vec<float>(), payload);
+    EXPECT_EQ(r.str(), "hello world");
+    EXPECT_NO_THROW(r.expectEnd());
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices)

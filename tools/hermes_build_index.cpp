@@ -22,9 +22,8 @@
 
 #include <sys/resource.h>
 
-#include "tool_common.hpp"
-
 #include "cluster/partitioner.hpp"
+#include "core/manifest.hpp"
 #include "index/ivf_stream_writer.hpp"
 #include "util/argparse.hpp"
 #include "util/threadpool.hpp"
@@ -42,39 +41,20 @@ peakRssMib()
     return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB on Linux
 }
 
-} // namespace
-
+/** Build and write the deployment; IO failures throw util::FormatError. */
 int
-main(int argc, char **argv)
+build(const hermes::util::ArgParser &args)
 {
     using namespace hermes;
 
-    util::ArgParser args("hermes_build_index",
-                         "build Hermes retrieval indices");
-    args.addFlag("output", "hermes_index", "output directory");
-    args.addFlag("type", "clustered",
-                 "monolithic | split (round-robin) | clustered (Hermes)");
-    args.addFlag("num-docs", "20000", "synthetic corpus size (chunks)");
-    args.addFlag("dim", "64", "embedding dimensionality");
-    args.addFlag("num-topics", "30", "latent topics in the corpus");
-    args.addFlag("num-indices", "10", "cluster indices to build");
-    args.addFlag("codec", "SQ8", "vector codec (Flat/SQ8/SQ4/PQ<M>)");
-    args.addFlag("nlist", "0", "inverted lists per index (0 = sqrt(n))");
-    args.addFlag("seeds-to-try", "4",
-                 "K-means seeds for the balanced-seed search");
-    args.addFlag("seed", "42", "corpus generation seed");
-    args.addFlag("corpus", "",
-                 "load this .hmat embedding matrix instead of synthesizing");
-    args.addFlag("stream", "0",
-                 "1 = bounded-memory streaming build (IvfStreamWriter)");
-    args.addFlag("stream-batch", "8192",
-                 "rows per streaming encode batch");
-    args.addFlag("stream-budget-mb", "64",
-                 "scatter-phase flush budget per cluster (MiB)");
-    args.parse(argc, argv);
-
     std::filesystem::path dir(args.get("output"));
-    std::filesystem::create_directories(dir);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        throw util::FormatError(util::FormatErrorCode::Io,
+                                dir.string() + ": cannot create output "
+                                               "directory: " +
+                                    ec.message());
 
     // Datastore embeddings: synthetic topic corpus or a user matrix.
     vecstore::Matrix data(0);
@@ -93,7 +73,7 @@ main(int argc, char **argv)
                       " embeddings (", cc.num_topics, " topics)");
     }
 
-    tools::Manifest manifest;
+    core::Manifest manifest;
     manifest.type = args.get("type");
     manifest.dim = data.dim();
     manifest.codec = args.get("codec");
@@ -218,4 +198,37 @@ main(int argc, char **argv)
                   store.memoryBytes() / 1024 / 1024,
                   " MiB of indices, peak RSS ", peakRssMib(), " MiB)");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    using namespace hermes;
+
+    util::ArgParser args("hermes_build_index",
+                         "build Hermes retrieval indices");
+    args.addFlag("output", "hermes_index", "output directory");
+    args.addFlag("type", "clustered",
+                 "monolithic | split (round-robin) | clustered (Hermes)");
+    args.addFlag("num-docs", "20000", "synthetic corpus size (chunks)");
+    args.addFlag("dim", "64", "embedding dimensionality");
+    args.addFlag("num-topics", "30", "latent topics in the corpus");
+    args.addFlag("num-indices", "10", "cluster indices to build");
+    args.addFlag("codec", "SQ8", "vector codec (Flat/SQ8/SQ4/PQ<M>)");
+    args.addFlag("nlist", "0", "inverted lists per index (0 = sqrt(n))");
+    args.addFlag("seeds-to-try", "4",
+                 "K-means seeds for the balanced-seed search");
+    args.addFlag("seed", "42", "corpus generation seed");
+    args.addFlag("corpus", "",
+                 "load this .hmat embedding matrix instead of synthesizing");
+    args.addFlag("stream", "0",
+                 "1 = bounded-memory streaming build (IvfStreamWriter)");
+    args.addFlag("stream-batch", "8192",
+                 "rows per streaming encode batch");
+    args.addFlag("stream-budget-mb", "64",
+                 "scatter-phase flush budget per cluster (MiB)");
+    args.parse(argc, argv);
+    return core::loadOrFatal([&] { return build(args); });
 }
