@@ -5,44 +5,43 @@
  * deployment (cluster size / node count) and predicts TTFT, E2E latency,
  * throughput and energy against the monolithic baseline.
  *
- * Usage: capacity_planner [tokens] [batch] [stride] [model] [gpu]
- *   tokens: datastore size, e.g. 1e12 (default 100e9)
- *   model:  phi | gemma | opt   (default gemma)
- *   gpu:    a6000 | l4          (default a6000)
+ * Usage: capacity_planner [--tokens=N] [--batch=N] [--stride=N]
+ *                         [--model=phi|gemma|opt] [--gpu=a6000|l4]
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 namespace {
 
 using namespace hermes;
 
 sim::LlmModel
-parseModel(const char *name)
+parseModel(const util::ArgParser &args)
 {
-    if (!std::strcmp(name, "phi"))
+    const std::string &name = args.get("model");
+    if (name == "phi")
         return sim::LlmModel::Phi15;
-    if (!std::strcmp(name, "opt"))
+    if (name == "opt")
         return sim::LlmModel::Opt30B;
-    if (!std::strcmp(name, "gemma"))
+    if (name == "gemma")
         return sim::LlmModel::Gemma2_9B;
-    HERMES_FATAL("unknown model '", name, "' (phi | gemma | opt)");
+    args.fail("unknown --model '" + name + "' (phi | gemma | opt)");
 }
 
 sim::GpuModel
-parseGpu(const char *name)
+parseGpu(const util::ArgParser &args)
 {
-    if (!std::strcmp(name, "l4"))
+    const std::string &name = args.get("gpu");
+    if (name == "l4")
         return sim::GpuModel::L4;
-    if (!std::strcmp(name, "a6000"))
+    if (name == "a6000")
         return sim::GpuModel::A6000Ada;
-    HERMES_FATAL("unknown GPU '", name, "' (a6000 | l4)");
+    args.fail("unknown --gpu '" + name + "' (a6000 | l4)");
 }
 
 } // namespace
@@ -50,13 +49,20 @@ parseGpu(const char *name)
 int
 main(int argc, char **argv)
 {
-    double tokens = argc > 1 ? std::strtod(argv[1], nullptr) : 100e9;
-    std::size_t batch =
-        argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 128;
-    std::size_t stride =
-        argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 16;
-    sim::LlmModel model = parseModel(argc > 4 ? argv[4] : "gemma");
-    sim::GpuModel gpu = parseGpu(argc > 5 ? argv[5] : "a6000");
+    util::ArgParser args("capacity_planner",
+                         "recommend a Hermes deployment for a datastore");
+    args.addFlag("tokens", "100e9", "datastore size in tokens, e.g. 1e12");
+    args.addFlag("batch", "128", "LLM serving batch");
+    args.addFlag("stride", "16", "tokens generated per retrieval");
+    args.addFlag("model", "gemma", "phi | gemma | opt");
+    args.addFlag("gpu", "a6000", "a6000 | l4");
+    args.parse(argc, argv);
+
+    const double tokens = args.getDouble("tokens", 1.0);
+    const auto batch = args.getInt<std::size_t>("batch", 1);
+    const auto stride = args.getInt<std::size_t>("stride", 1);
+    const sim::LlmModel model = parseModel(args);
+    const sim::GpuModel gpu = parseGpu(args);
 
     sim::PipelineConfig config;
     config.datastore.tokens = tokens;

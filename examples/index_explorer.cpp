@@ -4,14 +4,14 @@
  * corpus, compares recall / latency / memory, and demonstrates IVF
  * save/load — the offline index-construction workflow of Fig 2.
  *
- * Usage: index_explorer [num_docs] [dim]
+ * Usage: index_explorer [--num-docs=N] [--dim=N]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 int
 main(int argc, char **argv)
@@ -19,12 +19,16 @@ main(int argc, char **argv)
     using namespace hermes;
     util::setQuiet(true);
 
-    std::size_t num_docs =
-        argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-    std::size_t dim = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 48;
+    util::ArgParser args("index_explorer",
+                         "compare every index type on one corpus");
+    args.addFlag("num-docs", "20000", "synthetic corpus size");
+    args.addFlag("dim", "48", "embedding dimensionality");
+    args.parse(argc, argv);
+
+    const auto dim = args.getInt<std::size_t>("dim", 1);
 
     workload::CorpusConfig cc;
-    cc.num_docs = num_docs;
+    cc.num_docs = args.getInt<std::size_t>("num-docs", 1);
     cc.dim = dim;
     cc.num_topics = 24;
     auto corpus = workload::generateCorpus(cc);

@@ -12,11 +12,15 @@
 #include <cstdio>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace hermes;
+
+    util::ArgParser args("quickstart", "the five-minute Hermes tour");
+    args.parse(argc, argv);
 
     // 1. Synthesize a corpus of topic-coherent documents (stand-in for
     //    your real document collection).

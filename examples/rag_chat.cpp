@@ -4,23 +4,25 @@
  * route every retrieval stride of a multi-question "chat" session, and
  * contrasts the work done against a naive search of all clusters.
  *
- * Usage: rag_chat [num_docs] [num_questions]
+ * Usage: rag_chat [--num-docs=N] [--num-questions=N]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace hermes;
 
-    std::size_t num_docs = argc > 1 ? std::strtoul(argv[1], nullptr, 10)
-                                    : 600;
-    std::size_t num_questions =
-        argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 4;
+    util::ArgParser args("rag_chat", "strided-generation walkthrough");
+    args.addFlag("num-docs", "600", "synthetic documents");
+    args.addFlag("num-questions", "4", "questions in the chat session");
+    args.parse(argc, argv);
+    const auto num_docs = args.getInt<std::size_t>("num-docs", 1);
+    const auto num_questions = args.getInt<std::size_t>("num-questions");
 
     rag::SynthTextConfig text_config;
     text_config.num_docs = num_docs;

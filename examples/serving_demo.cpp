@@ -4,9 +4,7 @@
  * per cluster node), drives it with concurrent client threads, and prints
  * per-node load — the deployment shape of Fig 9 in miniature.
  *
- * Usage: see kUsage below (serving_demo --help prints it). Any other
- * argument starting with "--" that is not a known option is rejected
- * with the usage text and exit status 2.
+ * Usage: serving_demo [--flag=value ...]; --help lists the flags.
  *
  * --index-dir=DIR loads the store from a hermes_build_index deployment
  * manifest instead of partitioning and training at startup — the
@@ -23,7 +21,7 @@
  * instead of in-process worker nodes. The demo then builds no store of
  * its own — only the corpus for query synthesis — and num_clusters
  * becomes the endpoint count, so launch the shards with a matching
- * --clusters (and matching corpus flags). Fault-injection positionals
+ * --clusters (and matching corpus flags). The fault-injection flags
  * are ignored in this mode; inject faults on the shard processes
  * instead. On an identical fleet the merged results are bit-identical
  * to the in-process run.
@@ -44,7 +42,7 @@
  * fewer than the requested top-k is counted as "short". Hedging (and
  * the per-node retry ladder) needs a finite node deadline:
  * --deadline-ms sets it explicitly (it is otherwise 0 = infinite
- * unless drop_prob implies one), and for remote fleets it also
+ * unless --drop-prob implies one), and for remote fleets it also
  * becomes each RPC's request deadline.
  *
  * --batch-window-us opts the nodes into micro-batching: concurrent
@@ -73,18 +71,16 @@
  * with hermes_monitor or scrape from CI. --metrics-interval re-writes
  * the --metrics-json/--metrics-prom files periodically during the run.
  *
- * The optional fault arguments inject per-request failures, drops (dead
- * node: the broker's deadline fires) and delays into every node, showing
- * the broker's graceful degradation: queries still return top-k from the
- * surviving nodes, and the timeout/failure/degraded counters account for
- * what was lost.
+ * --fail-prob, --drop-prob and --delay-ms inject per-request failures,
+ * drops (dead node: the broker's deadline fires) and delays into every
+ * node, showing the broker's graceful degradation: queries still return
+ * top-k from the surviving nodes, and the timeout/failure/degraded
+ * counters account for what was lost.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -92,55 +88,7 @@
 #include <vector>
 
 #include "hermes/hermes.hpp"
-
-namespace {
-
-constexpr const char *kUsage =
-    "usage: serving_demo [num_docs] [clients] [queries_per_client]\n"
-    "                    [fail_prob] [drop_prob] [delay_ms]\n"
-    "                    [--metrics-json=PATH] [--metrics-prom=PATH]\n"
-    "                    [--metrics-interval=SECONDS]\n"
-    "                    [--trace-out=PATH] [--trace-sample=N]\n"
-    "                    [--http-port=PORT] [--duration=SECONDS]\n"
-    "                    [--batch-window-us=N] [--max-batch=N] [--dim=N]\n"
-    "                    [--nlist=N] "
-    "[--remote-nodes=host:port,host:port,...]\n"
-    "                    [--replicate=c:r,...] [--auto-replicate=N]\n"
-    "                    [--auto-replicate-after=S] [--hedge=0|1]\n"
-    "                    [--deadline-ms=MS] [--perf=0|1]\n"
-    "                    [--index-dir=DIR] [--index-heap=0|1]\n";
-
-/**
- * Split `--metrics-json=` / `--trace-out=` / `--trace-sample=` options out
- * of argv, leaving the positional fault-injection arguments in place.
- */
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
-}
-
-/** Split a comma-separated endpoint list, dropping empty entries. */
-std::vector<std::string>
-splitEndpoints(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-        std::size_t comma = spec.find(',', start);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        if (comma > start)
-            out.push_back(spec.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
+#include "util/argparse.hpp"
 
 int
 main(int argc, char **argv)
@@ -148,102 +96,139 @@ main(int argc, char **argv)
     using namespace hermes;
     util::setQuiet(true);
 
-    std::string metrics_json;
-    std::string metrics_prom;
-    double metrics_interval = 0.0;
-    std::string trace_out;
-    std::size_t trace_sample = 1;
-    int http_port = -1;
-    double duration = 0.0;
-    double batch_window_us = 0.0;
-    std::size_t max_batch = 0;
-    std::size_t dim = 32;
-    std::size_t nlist = 0;
-    std::string remote_nodes;
-    std::string replicate;
-    std::size_t auto_replicate = 0;
-    double auto_replicate_after = 2.0;
-    bool hedge = true;
-    double deadline_ms = 0.0;
-    bool perf_flag = false;
-    std::string index_dir;
-    bool index_heap = false;
-    std::vector<char *> positional;
-    for (int i = 0; i < argc; ++i) {
-        if (const char *v = matchOption(argv[i], "--metrics-json"))
-            metrics_json = v;
-        else if (const char *v = matchOption(argv[i], "--metrics-prom"))
-            metrics_prom = v;
-        else if (const char *v = matchOption(argv[i], "--metrics-interval"))
-            metrics_interval = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--trace-out"))
-            trace_out = v;
-        else if (const char *v = matchOption(argv[i], "--trace-sample"))
-            trace_sample = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--http-port"))
-            http_port = std::atoi(v);
-        else if (const char *v = matchOption(argv[i], "--duration"))
-            duration = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--batch-window-us"))
-            batch_window_us = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--max-batch"))
-            max_batch = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--dim"))
-            dim = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--nlist"))
-            nlist = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--remote-nodes"))
-            remote_nodes = v;
-        else if (const char *v = matchOption(argv[i], "--replicate"))
-            replicate = v;
-        else if (const char *v = matchOption(argv[i], "--auto-replicate"))
-            auto_replicate = std::strtoul(v, nullptr, 10);
-        else if (const char *v =
-                     matchOption(argv[i], "--auto-replicate-after"))
-            auto_replicate_after = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--hedge"))
-            hedge = std::atoi(v) != 0;
-        else if (const char *v = matchOption(argv[i], "--deadline-ms"))
-            deadline_ms = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--perf"))
-            perf_flag = std::atoi(v) != 0;
-        else if (const char *v = matchOption(argv[i], "--index-dir"))
-            index_dir = v;
-        else if (const char *v = matchOption(argv[i], "--index-heap"))
-            index_heap = std::atoi(v) != 0;
-        else if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else if (std::strncmp(argv[i], "--", 2) == 0) {
-            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
-            return 2;
-        } else
-            positional.push_back(argv[i]);
-    }
-    argc = static_cast<int>(positional.size());
-    argv = positional.data();
+    util::ArgParser args("serving_demo",
+                         "threaded Hermes broker under concurrent "
+                         "Zipfian clients");
+    args.addFlag("num-docs", "20000", "synthetic corpus size");
+    args.addFlag("clients", "4", "concurrent client threads");
+    args.addFlag("queries-per-client", "64", "queries each client sends");
+    args.addFlag("fail-prob", "0", "per-request failure probability");
+    args.addFlag("drop-prob", "0",
+                 "per-request drop probability (dead node)");
+    args.addFlag("delay-ms", "0",
+                 "injected delay on 20% of requests (ms)");
+    args.addFlag("dim", "32", "embedding dimensionality");
+    args.addFlag("nlist", "0", "inverted lists per node (0 = sqrt(n))");
+    args.addFlag("batch-window-us", "0",
+                 "micro-batching window per node (us)");
+    args.addFlag("max-batch", "0", "requests per batch (0 = node default)");
+    args.addFlag("remote-nodes", "",
+                 "comma-separated hermes_shard endpoints "
+                 "host:port[@cluster]");
+    args.addFlag("replicate", "", "in-process replicas, c:r,c:r,...");
+    args.addFlag("auto-replicate", "0",
+                 "replicas the broker may add from its load report");
+    args.addFlag("auto-replicate-after", "2",
+                 "seconds before the auto-replicate decision");
+    args.addFlag("hedge", "1", "hedge straggling sample probes");
+    args.addFlag("deadline-ms", "0", "node deadline (0 = infinite)");
+    args.addFlag("index-dir", "",
+                 "serve a hermes_build_index deployment");
+    args.addFlag("index-heap", "0",
+                 "with --index-dir, copy indices to heap instead of mmap");
+    args.addFlag("http-port", "-1",
+                 "metrics endpoint port (0 = ephemeral, -1 = off)");
+    args.addFlag("duration", "0",
+                 "run the clients for this many seconds instead of a "
+                 "fixed query count");
+    args.addFlag("metrics-json", "", "write the metrics registry as JSON");
+    args.addFlag("metrics-prom", "", "write Prometheus metrics text");
+    args.addFlag("metrics-interval", "0",
+                 "re-write the metrics files every N seconds");
+    args.addFlag("trace-out", "", "write a Chrome trace-event JSON");
+    args.addFlag("trace-sample", "1", "trace one in N queries");
+    args.addFlag("perf", "0", "per-phase perf counters and RAPL energy");
+    args.parse(argc, argv);
 
-    if (perf_flag)
+    const auto num_docs = args.getInt<std::size_t>("num-docs", 1);
+    const auto clients = args.getInt<std::size_t>("clients", 1);
+    const auto per_client =
+        args.getInt<std::size_t>("queries-per-client", 1);
+    const double drop_prob = args.getDouble("drop-prob", 0.0, 1.0);
+    const double delay_ms = args.getDouble("delay-ms", 0.0);
+    auto dim = args.getInt<std::size_t>("dim", 1);
+    const auto nlist = args.getInt<std::size_t>("nlist");
+    const std::string replicate = args.get("replicate");
+    const auto auto_replicate = args.getInt<std::size_t>("auto-replicate");
+    const double auto_replicate_after =
+        args.getDouble("auto-replicate-after", 0.0);
+    const std::string index_dir = args.get("index-dir");
+    const bool index_heap = args.getBool("index-heap");
+    const int http_port = args.getInt<int>("http-port", -1, 65535);
+    const double duration = args.getDouble("duration", 0.0);
+    const std::string metrics_json = args.get("metrics-json");
+    const std::string metrics_prom = args.get("metrics-prom");
+    const double metrics_interval = args.getDouble("metrics-interval", 0.0);
+    const std::string trace_out = args.get("trace-out");
+    const auto trace_sample = args.getInt<std::size_t>("trace-sample", 1);
+
+    // Remote fleet: one endpoint per node, optionally tagged with its
+    // cluster, "host:port@cluster". Listing several endpoints with the
+    // same cluster makes them replicas. All endpoints carry a tag or
+    // none do (then endpoint i serves cluster i).
+    std::vector<serve::RemoteNodeOptions> remotes;
+    std::vector<std::uint32_t> endpoint_clusters;
+    std::size_t tagged = 0;
+    const std::vector<std::string> specs = args.getList("remote-nodes");
+    for (std::string spec : specs) {
+        std::uint32_t cluster =
+            static_cast<std::uint32_t>(endpoint_clusters.size());
+        std::size_t at = spec.rfind('@');
+        if (at != std::string::npos) {
+            if (!util::parseInt(std::string_view(spec).substr(at + 1),
+                                cluster) ||
+                cluster >= specs.size())
+                args.fail("--remote-nodes: bad cluster tag in '" + spec +
+                          "'");
+            spec.resize(at);
+            ++tagged;
+        }
+        serve::RemoteNodeOptions ro;
+        if (!serve::parseEndpoint(spec, ro.host, ro.port))
+            args.fail("--remote-nodes: bad endpoint '" + spec + "'");
+        remotes.push_back(std::move(ro));
+        endpoint_clusters.push_back(cluster);
+    }
+    if (tagged != 0 && tagged != remotes.size())
+        args.fail("either every --remote-nodes endpoint carries @cluster "
+                  "or none do");
+    if (!index_dir.empty() && !remotes.empty())
+        args.fail("--index-dir and --remote-nodes are mutually exclusive "
+                  "(remote fleets load their own index files)");
+
+    serve::BrokerConfig broker_config;
+    broker_config.node.batch_window_us =
+        args.getDouble("batch-window-us", 0.0);
+    if (const auto max_batch = args.getInt<std::size_t>("max-batch"))
+        broker_config.node.max_batch = max_batch;
+    broker_config.node.faults.fail_probability =
+        args.getDouble("fail-prob", 0.0, 1.0);
+    broker_config.node.faults.drop_probability = drop_prob;
+    broker_config.node.faults.delay_probability = delay_ms > 0.0 ? 0.2 : 0.0;
+    broker_config.node.faults.delay_ms = delay_ms;
+    if (drop_prob > 0.0)
+        broker_config.node_deadline_ms = 250.0; // make dead nodes cheap
+    if (const double deadline_ms = args.getDouble("deadline-ms", 0.0))
+        broker_config.node_deadline_ms = deadline_ms;
+    broker_config.hedge.enabled = args.getBool("hedge");
+    if (!replicate.empty() &&
+        !serve::ReplicaMap::parseSpec(replicate, broker_config.replicate))
+        args.fail("bad --replicate spec (want c:r,c:r,...): " + replicate);
+    if (tagged > 0) {
+        serve::ReplicaMap map;
+        for (std::size_t i = 0; i < remotes.size(); ++i)
+            map.assign(endpoint_clusters[i], static_cast<std::uint32_t>(i));
+        if (!map.complete())
+            args.fail("--remote-nodes cluster tags must cover every "
+                      "cluster from 0 up to the highest tag");
+        broker_config.replica_map = std::move(map);
+    }
+
+    if (args.getBool("perf"))
         obs::setPerfEnabled(true);
 
     if (!trace_out.empty())
         obs::TraceRecorder::instance().start(trace_sample);
-
-    std::size_t num_docs =
-        argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-    std::size_t clients = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 4;
-    std::size_t per_client =
-        argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 64;
-    double fail_prob = argc > 4 ? std::strtod(argv[4], nullptr) : 0.0;
-    double drop_prob = argc > 5 ? std::strtod(argv[5], nullptr) : 0.0;
-    double delay_ms = argc > 6 ? std::strtod(argv[6], nullptr) : 0.0;
-
-    if (!index_dir.empty() && !remote_nodes.empty()) {
-        std::fprintf(stderr, "--index-dir and --remote-nodes are "
-                             "mutually exclusive (remote fleets load "
-                             "their own index files)\n");
-        return 2;
-    }
 
     // A deployment manifest pins the store geometry; the corpus below
     // is then only synthesized for query generation and must match the
@@ -259,47 +244,17 @@ main(int argc, char **argv)
     workload::CorpusConfig cc;
     cc.num_docs = num_docs;
     cc.dim = dim;
-    cc.num_topics = 30;
+    cc.num_topics = core::kDemoTopics;
     auto corpus = workload::generateCorpus(cc);
 
-    std::vector<std::string> endpoints = splitEndpoints(remote_nodes);
-
-    // Optional per-endpoint cluster assignment, "host:port@cluster":
-    // listing several endpoints with the same cluster makes them
-    // replicas. All endpoints carry an assignment or none do (then
-    // endpoint i serves cluster i, the pre-replication shape).
-    std::vector<std::uint32_t> endpoint_clusters(endpoints.size(), 0);
-    std::size_t tagged = 0;
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-        std::size_t at = endpoints[i].rfind('@');
-        if (at == std::string::npos) {
-            endpoint_clusters[i] = static_cast<std::uint32_t>(i);
-            continue;
-        }
-        endpoint_clusters[i] = static_cast<std::uint32_t>(
-            std::strtoul(endpoints[i].c_str() + at + 1, nullptr, 10));
-        endpoints[i].resize(at);
-        ++tagged;
-    }
-    if (tagged != 0 && tagged != endpoints.size()) {
-        std::fprintf(stderr, "either every --remote-nodes endpoint "
-                             "carries @cluster or none do\n");
-        return 2;
-    }
     std::size_t remote_clusters = 0;
     for (std::uint32_t c : endpoint_clusters)
         remote_clusters = std::max<std::size_t>(remote_clusters, c + 1);
 
-    core::HermesConfig config;
-    config.num_clusters = manifest ? manifest->num_clusters
-                                   : (endpoints.empty() ? 10
-                                                        : remote_clusters);
-    config.clusters_to_search =
-        std::min<std::size_t>(3, config.num_clusters);
-    config.sample_nprobe = 4;
-    config.deep_nprobe = 32;
-    config.partition.seeds_to_try = 3;
-    config.nlist_per_cluster = nlist;
+    core::HermesConfig config = core::demoStoreConfig(
+        manifest ? manifest->num_clusters
+                 : (remotes.empty() ? 10 : remote_clusters),
+        nlist);
     std::optional<core::DistributedStore> store;
     util::Timer store_timer;
     if (manifest) {
@@ -315,7 +270,7 @@ main(int argc, char **argv)
                     index_dir.c_str(),
                     store_timer.elapsedSeconds() * 1e3,
                     index_heap ? "heap copies" : "zero-copy mmap");
-    } else if (endpoints.empty()) {
+    } else if (remotes.empty()) {
         store = core::DistributedStore::build(corpus.embeddings, config);
     }
 
@@ -324,59 +279,21 @@ main(int argc, char **argv)
     qc.topic_zipf = 1.0;
     auto queries = workload::generateQueries(corpus, qc);
 
-    // Stand up the broker and hammer it from concurrent clients.
-    serve::BrokerConfig broker_config;
-    broker_config.node.batch_window_us = batch_window_us;
-    if (max_batch > 0)
-        broker_config.node.max_batch = max_batch;
-    broker_config.node.faults.fail_probability = fail_prob;
-    broker_config.node.faults.drop_probability = drop_prob;
-    broker_config.node.faults.delay_probability = delay_ms > 0.0 ? 0.2 : 0.0;
-    broker_config.node.faults.delay_ms = delay_ms;
-    if (drop_prob > 0.0)
-        broker_config.node_deadline_ms = 250.0; // make dead nodes cheap
-    if (deadline_ms > 0.0)
-        broker_config.node_deadline_ms = deadline_ms;
-    broker_config.hedge.enabled = hedge;
-    if (!replicate.empty() &&
-        !serve::ReplicaMap::parseSpec(replicate,
-                                      broker_config.replicate)) {
-        std::fprintf(stderr, "bad --replicate spec (want c:r,c:r,...): "
-                             "%s\n", replicate.c_str());
-        return 2;
-    }
-    if (!endpoints.empty() && tagged > 0) {
-        serve::ReplicaMap map;
-        for (std::size_t i = 0; i < endpoints.size(); ++i)
-            map.assign(endpoint_clusters[i],
-                       static_cast<std::uint32_t>(i));
-        if (!map.complete()) {
-            std::fprintf(stderr, "endpoint cluster assignments must "
-                                 "cover every cluster 0..%zu\n",
-                         config.num_clusters - 1);
-            return 2;
-        }
-        broker_config.replica_map = std::move(map);
-    }
-
     // Per-node shard sizes for the load table: from the store when
     // in-process, from each shard's Health RPC when remote.
     std::vector<std::size_t> shard_sizes(config.num_clusters, 0);
     std::unique_ptr<serve::HermesBroker> broker;
-    if (endpoints.empty()) {
+    if (remotes.empty()) {
         for (std::size_t c = 0; c < config.num_clusters; ++c)
             shard_sizes[c] = store->clusterSize(c);
         broker = std::make_unique<serve::HermesBroker>(*store,
                                                        broker_config);
     } else {
         std::vector<std::unique_ptr<serve::NodeClient>> nodes;
-        for (std::size_t c = 0; c < endpoints.size(); ++c) {
-            serve::RemoteNodeOptions ro;
-            if (!serve::parseEndpoint(endpoints[c], ro.host, ro.port)) {
-                std::fprintf(stderr, "bad endpoint: %s\n",
-                             endpoints[c].c_str());
-                return 2;
-            }
+        for (std::size_t c = 0; c < remotes.size(); ++c) {
+            serve::RemoteNodeOptions ro = remotes[c];
+            const std::string endpoint =
+                ro.host + ":" + std::to_string(ro.port);
             ro.request_deadline_ms = broker_config.node_deadline_ms;
             auto client =
                 std::make_unique<serve::RemoteNodeClient>(std::move(ro));
@@ -394,14 +311,14 @@ main(int argc, char **argv)
             }
             if (!up) {
                 std::fprintf(stderr, "shard %s unreachable\n",
-                             endpoints[c].c_str());
+                             endpoint.c_str());
                 return 1;
             }
             if (health.dim != dim) {
                 std::fprintf(stderr,
                              "shard %s serves dim %llu, demo runs dim "
                              "%zu — corpus flags must match\n",
-                             endpoints[c].c_str(),
+                             endpoint.c_str(),
                              static_cast<unsigned long long>(health.dim),
                              dim);
                 return 1;
@@ -417,7 +334,7 @@ main(int argc, char **argv)
     std::size_t total_vectors = 0;
     for (std::size_t n : shard_sizes)
         total_vectors += n;
-    const char *node_kind = endpoints.empty() ? "node workers"
+    const char *node_kind = remotes.empty() ? "node workers"
                                               : "remote shards";
     if (duration > 0.0) {
         std::printf("serving %zu vectors over %zu %s; %zu "
@@ -460,7 +377,7 @@ main(int argc, char **argv)
     // once the Zipf fit has seen real traffic (in-process only; a
     // node-list broker has no shard index to clone).
     std::thread replicator;
-    if (auto_replicate > 0 && endpoints.empty()) {
+    if (auto_replicate > 0 && remotes.empty()) {
         replicator = std::thread(
             [&broker, auto_replicate, auto_replicate_after] {
                 std::this_thread::sleep_for(

@@ -1,5 +1,7 @@
 #include "core/distributed_store.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 #include "util/threadpool.hpp"
 
@@ -22,6 +24,19 @@ HermesConfig::validate() const
         HERMES_FATAL("HermesConfig: sample_k must be >= 1");
     if (sample_nprobe == 0 || deep_nprobe == 0)
         HERMES_FATAL("HermesConfig: nProbe values must be >= 1");
+}
+
+HermesConfig
+demoStoreConfig(std::size_t num_clusters, std::size_t nlist_per_cluster)
+{
+    HermesConfig config;
+    config.num_clusters = num_clusters;
+    config.clusters_to_search = std::min<std::size_t>(3, num_clusters);
+    config.sample_nprobe = 4;
+    config.deep_nprobe = 32;
+    config.partition.seeds_to_try = 3;
+    config.nlist_per_cluster = nlist_per_cluster;
+    return config;
 }
 
 DistributedStore

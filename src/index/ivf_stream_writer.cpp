@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include <unistd.h>
+
 #include "cluster/kmeans.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
@@ -44,8 +46,10 @@ IvfStreamWriter::IvfStreamWriter(const IvfIndex &prototype,
                                 spill_path_ + ": cannot create spill file");
     }
     // Remove a stale partial output up front so a crash mid-build never
-    // leaves yesterday's index masquerading as today's.
-    std::remove(path_.c_str());
+    // leaves yesterday's index masquerading as today's. unlink(2), unlike
+    // std::remove, never deletes a directory: one in the way makes
+    // finish() fail with Io, as save() does.
+    ::unlink(path_.c_str());
 }
 
 IvfStreamWriter::~IvfStreamWriter()

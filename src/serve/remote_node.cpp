@@ -1,11 +1,11 @@
 #include "serve/remote_node.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
 #include "obs/metric_names.hpp"
+#include "util/argparse.hpp"
 #include "util/logging.hpp"
 
 namespace hermes {
@@ -57,13 +57,10 @@ parseEndpoint(const std::string &spec, std::string &host,
         host = colon == 0 ? std::string("127.0.0.1") : spec.substr(0, colon);
         port_str = spec.substr(colon + 1);
     }
-    if (port_str.empty())
+    std::uint16_t value = 0;
+    if (!util::parseInt(port_str, value) || value == 0)
         return false;
-    char *end = nullptr;
-    unsigned long value = std::strtoul(port_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || value == 0 || value > 65535)
-        return false;
-    port = static_cast<std::uint16_t>(value);
+    port = value;
     return true;
 }
 

@@ -247,7 +247,10 @@ class RemoteNodeClient final : public NodeClient
     mutable RemoteClockSync clock_sync_;
 };
 
-/** Parse "host:port" (or bare ":port"/"port" for loopback). */
+/**
+ * Parse "host:port" (or bare ":port"/"port" for loopback). False unless
+ * the port is a whole number in [1, 65535].
+ */
 bool parseEndpoint(const std::string &spec, std::string &host,
                    std::uint16_t &port);
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -190,6 +192,19 @@ extractClockSyncs(const std::string &broker_json)
         syncs.push_back(best);
     }
     return syncs;
+}
+
+bool
+readTraceDump(const std::string &path, TraceDumpInput &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    out.source = path;
+    out.json = buf.str();
+    return true;
 }
 
 TraceMergeResult

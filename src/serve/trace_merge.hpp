@@ -81,6 +81,12 @@ struct TraceMergeResult
 std::vector<TraceClockSync> extractClockSyncs(const std::string &broker_json);
 
 /**
+ * Read the dump a process wrote to @p path into @p out (source = path).
+ * False when the file cannot be read.
+ */
+bool readTraceDump(const std::string &path, TraceDumpInput &out);
+
+/**
  * Merge @p broker and @p shards into one Chrome trace. The broker
  * becomes pid 1; shard i becomes pid 2+i, labelled from its dump's
  * metadata ("process"/"cluster") or its source. Shard timestamps are

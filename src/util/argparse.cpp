@@ -8,6 +8,18 @@
 namespace hermes {
 namespace util {
 
+namespace {
+
+std::string
+formatNumber(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", value);
+    return buf;
+}
+
+} // namespace
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
 {
@@ -18,7 +30,7 @@ ArgParser::addFlag(const std::string &name, const std::string &default_value,
                    const std::string &help)
 {
     HERMES_ASSERT(!flags_.count(name), "duplicate flag --", name);
-    flags_[name] = Flag{default_value, help, default_value, false};
+    flags_[name] = Flag{default_value, help, {}};
     order_.push_back(name);
 }
 
@@ -31,10 +43,8 @@ ArgParser::parse(int argc, char **argv)
             printHelp();
             std::exit(0);
         }
-        if (arg.rfind("--", 0) != 0) {
-            HERMES_FATAL("unexpected positional argument '", arg,
-                         "' (see --help)");
-        }
+        if (arg.rfind("--", 0) != 0)
+            fail("unexpected positional argument '" + arg + "'");
         std::string name = arg.substr(2);
         std::string value;
         auto eq = name.find('=');
@@ -42,17 +52,14 @@ ArgParser::parse(int argc, char **argv)
             value = name.substr(eq + 1);
             name = name.substr(0, eq);
         } else {
-            if (i + 1 >= argc) {
-                HERMES_FATAL("flag --", name, " is missing a value");
-            }
+            if (i + 1 >= argc)
+                fail("flag --" + name + " is missing a value");
             value = argv[++i];
         }
         auto it = flags_.find(name);
-        if (it == flags_.end()) {
-            HERMES_FATAL("unknown flag --", name, " (see --help)");
-        }
-        it->second.value = value;
-        it->second.given = true;
+        if (it == flags_.end())
+            fail("unknown flag --" + name);
+        it->second.values.push_back(std::move(value));
     }
 }
 
@@ -67,31 +74,44 @@ ArgParser::find(const std::string &name) const
 const std::string &
 ArgParser::get(const std::string &name) const
 {
-    return find(name).value;
+    const Flag &flag = find(name);
+    return flag.values.empty() ? flag.default_value : flag.values.back();
 }
 
-long
-ArgParser::getInt(const std::string &name) const
+const std::vector<std::string> &
+ArgParser::getAll(const std::string &name) const
 {
-    const auto &value = get(name);
-    char *end = nullptr;
-    long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-        HERMES_FATAL("flag --", name, " expects an integer, got '", value,
-                     "'");
+    return find(name).values;
+}
+
+std::vector<std::string>
+ArgParser::getList(const std::string &name) const
+{
+    const std::string &list = get(name);
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= list.size()) {
+        std::size_t comma = list.find(',', start);
+        if (comma == std::string::npos)
+            comma = list.size();
+        if (comma > start)
+            out.push_back(list.substr(start, comma - start));
+        start = comma + 1;
     }
-    return parsed;
+    return out;
 }
 
 double
-ArgParser::getDouble(const std::string &name) const
+ArgParser::getDouble(const std::string &name, double min, double max) const
 {
     const auto &value = get(name);
     char *end = nullptr;
     double parsed = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-        HERMES_FATAL("flag --", name, " expects a number, got '", value,
-                     "'");
+    // The negated test also rejects NaN.
+    if (value.empty() || *end != '\0' || !(parsed >= min && parsed <= max)) {
+        fail("flag --" + name + " expects a number in [" +
+             formatNumber(min) + ", " + formatNumber(max) + "], got '" +
+             value + "'");
     }
     return parsed;
 }
@@ -104,13 +124,21 @@ ArgParser::getBool(const std::string &name) const
         return true;
     if (value == "false" || value == "0" || value == "no")
         return false;
-    HERMES_FATAL("flag --", name, " expects true/false, got '", value, "'");
+    fail("flag --" + name + " expects true/false, got '" + value + "'");
 }
 
 bool
 ArgParser::given(const std::string &name) const
 {
-    return find(name).given;
+    return !find(name).values.empty();
+}
+
+void
+ArgParser::fail(const std::string &message) const
+{
+    std::fprintf(stderr, "%s: %s\nrun '%s --help' for usage\n",
+                 program_.c_str(), message.c_str(), program_.c_str());
+    std::exit(2);
 }
 
 void

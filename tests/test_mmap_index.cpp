@@ -428,4 +428,33 @@ TEST(StreamWriter, ByteIdenticalToSave)
     std::filesystem::remove(stream_path);
 }
 
+/**
+ * A directory in the way of the output is an Io error, as it is for
+ * save(), and the stream writer must leave it in place.
+ */
+TEST(StreamWriter, DirectoryAtOutputPathThrowsIoAndSurvives)
+{
+    const auto &data = sharedData();
+    IvfConfig config;
+    config.nlist = 4;
+    config.codec = "SQ8";
+    IvfIndex prototype(data.base.dim(), Metric::L2, config);
+    prototype.train(data.base);
+
+    auto path = tempIndexPath("stream_dir");
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directory(path);
+    try {
+        IvfStreamWriter writer(prototype, path.string());
+        writer.add(data.base, std::vector<vecstore::VecId>(
+                                  data.base.rows(), vecstore::VecId{0}));
+        writer.finish();
+        ADD_FAILURE() << "stream build over a directory did not throw";
+    } catch (const util::FormatError &e) {
+        EXPECT_EQ(e.code(), util::FormatErrorCode::Io) << e.what();
+    }
+    EXPECT_TRUE(std::filesystem::is_directory(path));
+    std::filesystem::remove_all(path);
+}
+
 } // namespace

@@ -9,6 +9,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/manifest.hpp"
 #include "core/search_strategy.hpp"
@@ -54,7 +57,7 @@ TEST(ArgParser, UnknownFlagDies)
     args.addFlag("known", "1", "known flag");
     const char *argv[] = {"test", "--bogus", "1"};
     EXPECT_EXIT(args.parse(3, const_cast<char **>(argv)),
-                ::testing::ExitedWithCode(1), "unknown flag");
+                ::testing::ExitedWithCode(2), "unknown flag");
 }
 
 TEST(ArgParser, BadIntegerDies)
@@ -63,8 +66,94 @@ TEST(ArgParser, BadIntegerDies)
     args.addFlag("n", "1", "an int");
     const char *argv[] = {"test", "--n", "nope"};
     args.parse(3, const_cast<char **>(argv));
-    EXPECT_EXIT((void)args.getInt("n"), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT((void)args.getInt("n"), ::testing::ExitedWithCode(2),
                 "expects an integer");
+}
+
+TEST(ArgParser, GetAllKeepsEveryRepeatInOrder)
+{
+    util::ArgParser args("test", "test tool");
+    args.addFlag("trace", "", "repeatable");
+    args.addFlag("other", "x", "never given");
+    const char *argv[] = {"test", "--trace=a.json", "--trace", "b.json",
+                          "--trace=c.json"};
+    args.parse(5, const_cast<char **>(argv));
+    EXPECT_EQ(args.getAll("trace"),
+              (std::vector<std::string>{"a.json", "b.json", "c.json"}));
+    EXPECT_EQ(args.get("trace"), "c.json"); // the last one wins
+    EXPECT_TRUE(args.getAll("other").empty());
+    EXPECT_EQ(args.get("other"), "x");
+}
+
+TEST(ArgParser, GetListSplitsOnCommasDroppingEmpties)
+{
+    util::ArgParser args("test", "test tool");
+    args.addFlag("nodes", "", "list");
+    const char *argv[] = {"test", "--nodes=a:1,,b:2,"};
+    args.parse(2, const_cast<char **>(argv));
+    EXPECT_EQ(args.getList("nodes"),
+              (std::vector<std::string>{"a:1", "b:2"}));
+}
+
+/** Parse `--n=<value>` and read it back through getInt<T>(min, max). */
+template <typename T>
+T
+parsedInt(const char *value, T min = std::numeric_limits<T>::min(),
+          T max = std::numeric_limits<T>::max())
+{
+    util::ArgParser args("test", "test tool");
+    args.addFlag("n", "0", "an int");
+    std::string arg = std::string("--n=") + value;
+    char *argv[] = {const_cast<char *>("test"), arg.data()};
+    args.parse(2, argv);
+    return args.getInt<T>("n", min, max);
+}
+
+TEST(ArgParser, RangeCheckedIntegersAcceptTheirLimits)
+{
+    EXPECT_EQ(parsedInt<std::size_t>("0"), 0u);
+    EXPECT_EQ(parsedInt<std::size_t>("18446744073709551615"),
+              std::numeric_limits<std::size_t>::max());
+    EXPECT_EQ(parsedInt<std::uint16_t>("65535"), 65535);
+    EXPECT_EQ(parsedInt<int>("-1", -1, 65535), -1);
+    EXPECT_EQ(parsedInt<std::size_t>("9", 0, 9), 9u);
+    EXPECT_EQ(parsedInt<long>("-9223372036854775808"),
+              std::numeric_limits<long>::min());
+}
+
+TEST(ArgParser, RangeCheckedIntegersRejectEverythingElse)
+{
+    const auto usage = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(parsedInt<std::size_t>("-5"), usage, "flag --n expects");
+    EXPECT_EXIT(parsedInt<std::size_t>("18446744073709551616"), usage,
+                "expects an integer in \\[0, 18446744073709551615\\]");
+    EXPECT_EXIT(parsedInt<std::uint16_t>("65536"), usage, "--n");
+    EXPECT_EXIT(parsedInt<std::size_t>("10", 0, 9), usage, "got '10'");
+    EXPECT_EXIT(parsedInt<std::size_t>("0", 1), usage, "got '0'");
+    EXPECT_EXIT(parsedInt<int>("-2", -1, 65535), usage, "--n");
+    EXPECT_EXIT(parsedInt<int>("80abc"), usage, "got '80abc'");
+    EXPECT_EXIT(parsedInt<int>("abc"), usage, "got 'abc'");
+    EXPECT_EXIT(parsedInt<int>(""), usage, "got ''");
+    EXPECT_EXIT(parsedInt<int>(" 7"), usage, "--n");
+}
+
+TEST(ArgParser, UsageErrorsExitTwo)
+{
+    const auto usage = ::testing::ExitedWithCode(2);
+    util::ArgParser args("test", "test tool");
+    args.addFlag("p", "0.5", "a probability");
+    args.addFlag("b", "maybe", "a bool");
+    const char *positional[] = {"test", "stray"};
+    EXPECT_EXIT(args.parse(2, const_cast<char **>(positional)), usage,
+                "unexpected positional argument 'stray'");
+    const char *missing[] = {"test", "--p"};
+    EXPECT_EXIT(args.parse(2, const_cast<char **>(missing)), usage,
+                "missing a value");
+    EXPECT_DOUBLE_EQ(args.getDouble("p", 0.0, 1.0), 0.5);
+    EXPECT_EXIT((void)args.getDouble("p", 0.0, 0.25), usage,
+                "expects a number in \\[0, 0.25\\]");
+    EXPECT_EXIT((void)args.getBool("b"), usage, "expects true/false");
+    EXPECT_EXIT(args.fail("custom"), usage, "test: custom");
 }
 
 TEST(Manifest, SaveLoadRoundTrip)

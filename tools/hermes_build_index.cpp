@@ -19,6 +19,7 @@
  */
 
 #include <filesystem>
+#include <limits>
 
 #include <sys/resource.h>
 
@@ -47,6 +48,47 @@ build(const hermes::util::ArgParser &args)
 {
     using namespace hermes;
 
+    // Every flag is checked before anything is written.
+    workload::CorpusConfig cc;
+    cc.num_docs = args.getInt<std::size_t>("num-docs", 1);
+    cc.dim = args.getInt<std::size_t>("dim", 1);
+    cc.num_topics = args.getInt<std::size_t>("num-topics", 1);
+    cc.seed = args.getInt<std::uint64_t>("seed");
+    const bool stream = args.getBool("stream");
+    const auto batch_rows = args.getInt<std::size_t>("stream-batch", 1);
+    index::IvfStreamWriter::Options sopts;
+    sopts.buffer_budget_bytes =
+        args.getInt<std::size_t>("stream-budget-mb", 1,
+                                 std::numeric_limits<std::size_t>::max() >>
+                                     20)
+        << 20;
+
+    core::Manifest manifest;
+    manifest.type = args.get("type");
+    manifest.codec = args.get("codec");
+
+    core::HermesConfig config;
+    config.codec = manifest.codec;
+    config.nlist_per_cluster = args.getInt<std::size_t>("nlist");
+    config.partition.seeds_to_try =
+        args.getInt<std::size_t>("seeds-to-try", 1);
+    const auto num_indices = args.getInt<std::size_t>("num-indices", 1);
+    if (manifest.type == "monolithic") {
+        config.num_clusters = 1;
+        config.clusters_to_search = 1;
+        config.partition.scheme = cluster::PartitionScheme::Contiguous;
+    } else if (manifest.type == "split" || manifest.type == "clustered") {
+        config.num_clusters = num_indices;
+        config.clusters_to_search =
+            std::min<std::size_t>(3, config.num_clusters);
+        config.partition.scheme = manifest.type == "split"
+            ? cluster::PartitionScheme::RoundRobin
+            : cluster::PartitionScheme::Similarity;
+    } else {
+        args.fail("unknown --type '" + manifest.type + "'");
+    }
+    manifest.num_clusters = config.num_clusters;
+
     std::filesystem::path dir(args.get("output"));
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -63,48 +105,14 @@ build(const hermes::util::ArgParser &args)
         HERMES_INFORM("loaded ", data.rows(), " x ", data.dim(),
                       " embeddings from ", args.get("corpus"));
     } else {
-        workload::CorpusConfig cc;
-        cc.num_docs = static_cast<std::size_t>(args.getInt("num-docs"));
-        cc.dim = static_cast<std::size_t>(args.getInt("dim"));
-        cc.num_topics = static_cast<std::size_t>(args.getInt("num-topics"));
-        cc.seed = static_cast<std::uint64_t>(args.getInt("seed"));
         data = workload::generateCorpus(cc).embeddings;
         HERMES_INFORM("synthesized ", data.rows(), " x ", data.dim(),
                       " embeddings (", cc.num_topics, " topics)");
     }
-
-    core::Manifest manifest;
-    manifest.type = args.get("type");
     manifest.dim = data.dim();
-    manifest.codec = args.get("codec");
-
-    core::HermesConfig config;
-    config.codec = manifest.codec;
-    config.nlist_per_cluster =
-        static_cast<std::size_t>(args.getInt("nlist"));
-    config.partition.seeds_to_try =
-        static_cast<std::size_t>(args.getInt("seeds-to-try"));
 
     util::Timer timer;
-    if (manifest.type == "monolithic") {
-        config.num_clusters = 1;
-        config.clusters_to_search = 1;
-        config.partition.scheme = cluster::PartitionScheme::Contiguous;
-    } else {
-        config.num_clusters =
-            static_cast<std::size_t>(args.getInt("num-indices"));
-        config.clusters_to_search =
-            std::min<std::size_t>(3, config.num_clusters);
-        config.partition.scheme = manifest.type == "split"
-            ? cluster::PartitionScheme::RoundRobin
-            : cluster::PartitionScheme::Similarity;
-        if (manifest.type != "split" && manifest.type != "clustered") {
-            HERMES_FATAL("unknown --type '", manifest.type, "'");
-        }
-    }
-    manifest.num_clusters = config.num_clusters;
-
-    if (args.getInt("stream") != 0) {
+    if (stream) {
         // Bounded-memory path: partition, then per cluster train a
         // prototype and stream the rows through the spill-and-scatter
         // writer. Clusters are built sequentially on purpose — the
@@ -118,13 +126,6 @@ build(const hermes::util::ArgParser &args)
         data.save((dir / manifest.corpus_file).string());
         partition.centroids.save((dir / manifest.centroids_file).string());
 
-        const std::size_t batch_rows = static_cast<std::size_t>(
-            std::max<long>(args.getInt("stream-batch"), 1));
-        index::IvfStreamWriter::Options sopts;
-        sopts.buffer_budget_bytes =
-            static_cast<std::size_t>(
-                std::max<long>(args.getInt("stream-budget-mb"), 1))
-            << 20;
         std::uintmax_t index_bytes = 0;
         for (std::size_t c = 0; c < config.num_clusters; ++c) {
             const auto &members = partition.members[c];

@@ -56,16 +56,18 @@ main(int argc, char **argv)
     args.addFlag("csv", "", "optional CSV output path");
     args.parse(argc, argv);
 
+    core::HermesConfig config;
+    config.sample_nprobe = args.getInt<std::size_t>("sample-nprobe", 1);
+    config.deep_nprobe = args.getInt<std::size_t>("deep-nprobe", 1);
+    config.clusters_to_search = 1;
+    const auto num_queries = args.getInt<std::size_t>("num-queries", 1);
+    const double noise = args.getDouble("noise", 0.0);
+    const auto seed = args.getInt<std::uint64_t>("seed");
+    const auto k = args.getInt<std::size_t>("k", 1);
+
     std::filesystem::path dir(args.get("index"));
     auto manifest =
         core::loadOrFatal([&] { return core::Manifest::load(dir); });
-
-    core::HermesConfig config;
-    config.sample_nprobe =
-        static_cast<std::size_t>(args.getInt("sample-nprobe"));
-    config.deep_nprobe =
-        static_cast<std::size_t>(args.getInt("deep-nprobe"));
-    config.clusters_to_search = 1;
     auto store = core::loadOrFatal([&] {
         return core::loadStore(dir, manifest, config,
                                core::StoreLoadMode::kHeap);
@@ -74,11 +76,7 @@ main(int argc, char **argv)
     auto data = core::loadOrFatal([&] {
         return vecstore::Matrix::load((dir / manifest.corpus_file).string());
     });
-    auto queries = makeQueries(
-        data, static_cast<std::size_t>(args.getInt("num-queries")),
-        args.getDouble("noise"),
-        static_cast<std::uint64_t>(args.getInt("seed")));
-    const auto k = static_cast<std::size_t>(args.getInt("k"));
+    auto queries = makeQueries(data, num_queries, noise, seed);
 
     HERMES_INFORM("computing brute-force ground truth over ", data.rows(),
                   " vectors...");

@@ -9,7 +9,9 @@
  * merged trace folds across processes: broker.query;rpc.search;
  * shard.search;node.search. Weights are self-time microseconds.
  *
- * Usage: see kUsage below (hermes_flame --help prints it).
+ * Usage: hermes_flame [--trace=FILE]... [--endpoint=host:port]...
+ *                     [--out=FILE]
+ * (at least one input; --help lists the flags).
  *
  * --endpoint fetches /trace.json from a live obs exporter instead of
  * (or alongside) files. Output goes to --out or stdout and loads
@@ -21,90 +23,35 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/exporter.hpp"
+#include "serve/remote_node.hpp"
 #include "serve/trace_merge.hpp"
-
-namespace {
-
-constexpr const char *kUsage =
-    "usage: hermes_flame --trace=FILE [--trace=FILE]...\n"
-    "                    [--endpoint=host:port]... [--out=FILE]\n";
-
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
-    return true;
-}
-
-/** "host:port" → parts; false on anything unparseable. */
-bool
-splitEndpoint(const std::string &endpoint, std::string &host, int &port)
-{
-    std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return false;
-    host = endpoint.substr(0, colon);
-    port = std::atoi(endpoint.c_str() + colon + 1);
-    return port > 0 && port <= 65535;
-}
-
-} // namespace
+#include "util/argparse.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace hermes;
 
-    std::vector<std::string> trace_files;
-    std::vector<std::string> endpoints;
-    std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = matchOption(argv[i], "--trace"))
-            trace_files.push_back(v);
-        else if (const char *v = matchOption(argv[i], "--endpoint"))
-            endpoints.push_back(v);
-        else if (const char *v = matchOption(argv[i], "--out"))
-            out_path = v;
-        else if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
-            return 2;
-        }
-    }
-    if (trace_files.empty() && endpoints.empty()) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
+    util::ArgParser args("hermes_flame",
+                         "fold Chrome trace dumps into flame-graph stacks");
+    args.addFlag("trace", "", "trace dump file (repeatable)");
+    args.addFlag("endpoint", "",
+                 "host:port of a live exporter's /trace.json (repeatable)");
+    args.addFlag("out", "", "output file (default: stdout)");
+    args.parse(argc, argv);
+    if (!args.given("trace") && !args.given("endpoint"))
+        args.fail("give at least one --trace or --endpoint");
+    const std::string out_path = args.get("out");
 
     std::vector<serve::TraceDumpInput> dumps;
-    for (const auto &path : trace_files) {
+    for (const auto &path : args.getAll("trace")) {
         serve::TraceDumpInput dump;
-        dump.source = path;
-        if (!readFile(path, dump.json)) {
+        if (!serve::readTraceDump(path, dump)) {
             std::fprintf(stderr,
                          "warning: cannot read %s; skipping\n",
                          path.c_str());
@@ -112,18 +59,14 @@ main(int argc, char **argv)
         }
         dumps.push_back(std::move(dump));
     }
-    for (const auto &endpoint : endpoints) {
+    for (const auto &endpoint : args.getAll("endpoint")) {
         std::string host;
-        int port = 0;
-        if (!splitEndpoint(endpoint, host, port)) {
-            std::fprintf(stderr, "error: bad endpoint %s\n",
-                         endpoint.c_str());
-            return 2;
-        }
+        std::uint16_t port = 0;
+        if (!serve::parseEndpoint(endpoint, host, port))
+            args.fail("--endpoint: bad host:port '" + endpoint + "'");
         serve::TraceDumpInput dump;
         dump.source = endpoint;
-        if (!obs::httpGet(host, static_cast<std::uint16_t>(port),
-                          "/trace.json", &dump.json)) {
+        if (!obs::httpGet(host, port, "/trace.json", &dump.json)) {
             std::fprintf(stderr,
                          "warning: fetch of %s/trace.json failed; "
                          "skipping\n",

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +33,7 @@
 #include <unistd.h>
 
 #include "obs/exporter.hpp"
+#include "serve/remote_node.hpp"
 #include "util/argparse.hpp"
 #include "util/minijson.hpp"
 
@@ -98,21 +98,6 @@ struct Sample
     double measured_package_j = 0.0;
     double measured_watts = 0.0;
 };
-
-bool
-parseEndpoint(const std::string &spec, Endpoint &out)
-{
-    std::size_t colon = spec.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return false;
-    int port = std::atoi(spec.c_str() + colon + 1);
-    if (port <= 0 || port > 65535)
-        return false;
-    out.host = spec.substr(0, colon);
-    out.port = static_cast<std::uint16_t>(port);
-    out.label = spec;
-    return true;
-}
 
 Sample
 pollEndpoint(const Endpoint &endpoint)
@@ -355,45 +340,25 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     const double interval = std::max(args.getDouble("interval"), 0.05);
-    const long count = args.getInt("count");
+    const auto count = args.getInt<std::size_t>("count");
     const std::string csv_path = args.get("csv");
+    const auto port = args.getInt<std::uint16_t>("port");
 
     std::vector<Endpoint> endpoints;
-    const std::string endpoints_flag = args.get("endpoints");
-    if (!endpoints_flag.empty()) {
-        std::size_t start = 0;
-        while (start <= endpoints_flag.size()) {
-            std::size_t comma = endpoints_flag.find(',', start);
-            if (comma == std::string::npos)
-                comma = endpoints_flag.size();
-            if (comma > start) {
-                Endpoint endpoint;
-                std::string spec =
-                    endpoints_flag.substr(start, comma - start);
-                if (!parseEndpoint(spec, endpoint)) {
-                    std::fprintf(stderr,
-                                 "hermes_monitor: bad endpoint %s\n",
-                                 spec.c_str());
-                    return 2;
-                }
-                endpoints.push_back(std::move(endpoint));
-            }
-            start = comma + 1;
-        }
-    } else {
+    for (const auto &spec : args.getList("endpoints")) {
         Endpoint endpoint;
-        endpoint.host = args.get("host");
-        endpoint.port = static_cast<std::uint16_t>(args.getInt("port"));
-        endpoint.label =
-            endpoint.host + ":" + std::to_string(endpoint.port);
-        if (endpoint.port == 0) {
-            std::fprintf(stderr,
-                         "hermes_monitor: --port or --endpoints is "
-                         "required (the serving binary prints its port "
-                         "at startup)\n");
-            return 2;
-        }
+        endpoint.label = spec;
+        if (!serve::parseEndpoint(spec, endpoint.host, endpoint.port))
+            args.fail("--endpoints: bad host:port '" + spec + "'");
         endpoints.push_back(std::move(endpoint));
+    }
+    if (endpoints.empty()) {
+        if (port == 0)
+            args.fail("--port or --endpoints is required (the serving "
+                      "binary prints its port at startup)");
+        endpoints.push_back(
+            {args.get("host"), port,
+             args.get("host") + ":" + std::to_string(port)});
     }
 
     std::signal(SIGINT, onSignal);
@@ -429,7 +394,8 @@ main(int argc, char **argv)
     long polls = 0;
     long failures = 0;
     std::vector<Sample> samples(endpoints.size());
-    for (long i = 0; (count == 0 || i < count) && !g_interrupted; ++i) {
+    for (std::size_t i = 0; (count == 0 || i < count) && !g_interrupted;
+         ++i) {
         if (i > 0)
             interruptibleSleep(interval);
         if (g_interrupted)
@@ -444,7 +410,7 @@ main(int argc, char **argv)
         if (up == 0) {
             ++failures;
             std::fprintf(stderr,
-                         "hermes_monitor: poll %ld reached none of %zu "
+                         "hermes_monitor: poll %zu reached none of %zu "
                          "endpoint(s) (%ld failures so far)\n", i + 1,
                          endpoints.size(), failures);
             if (failures >= 5 && polls == 0) {

@@ -77,23 +77,34 @@ main(int argc, char **argv)
                  "with --trace-out, trace one in N queries");
     args.parse(argc, argv);
 
-    if (args.given("trace-out")) {
-        obs::TraceRecorder::instance().start(
-            static_cast<std::size_t>(args.getInt("trace-sample")));
-    }
+    core::HermesConfig config;
+    config.sample_nprobe = args.getInt<std::size_t>("sample-nprobe", 1);
+    config.deep_nprobe = args.getInt<std::size_t>("deep-nprobe", 1);
+    const auto clusters_to_search =
+        args.getInt<std::size_t>("clusters-to-search", 1);
+    const auto num_queries = args.getInt<std::size_t>("num-queries", 1);
+    const double noise = args.getDouble("noise", 0.0);
+    const auto seed = args.getInt<std::uint64_t>("seed");
+    const auto batch = args.getInt<std::size_t>("batch", 1);
+    const auto k = args.getInt<std::size_t>("k", 1);
+    const std::string mode = args.get("mode");
+    if (mode != "hermes" && mode != "centroid" && mode != "split-all" &&
+        mode != "serve")
+        args.fail("unknown --mode '" + mode + "'");
+    const double metrics_interval = args.getDouble("metrics-interval", 0.0);
+    const auto trace_sample = args.getInt<std::size_t>("trace-sample", 1);
+    const bool http = args.given("http-port");
+    const auto http_port = http ? args.getInt<std::uint16_t>("http-port") : 0;
+
+    if (args.given("trace-out"))
+        obs::TraceRecorder::instance().start(trace_sample);
 
     std::filesystem::path dir(args.get("index"));
     auto manifest =
         core::loadOrFatal([&] { return core::Manifest::load(dir); });
 
-    core::HermesConfig config;
-    config.sample_nprobe =
-        static_cast<std::size_t>(args.getInt("sample-nprobe"));
-    config.deep_nprobe =
-        static_cast<std::size_t>(args.getInt("deep-nprobe"));
-    config.clusters_to_search = std::min<std::size_t>(
-        static_cast<std::size_t>(args.getInt("clusters-to-search")),
-        manifest.num_clusters);
+    config.clusters_to_search =
+        std::min<std::size_t>(clusters_to_search, manifest.num_clusters);
     auto store = core::loadOrFatal([&] {
         return core::loadStore(dir, manifest, config,
                                core::StoreLoadMode::kHeap);
@@ -102,14 +113,7 @@ main(int argc, char **argv)
     auto data = core::loadOrFatal([&] {
         return vecstore::Matrix::load((dir / manifest.corpus_file).string());
     });
-    auto queries = makeQueries(
-        data, static_cast<std::size_t>(args.getInt("num-queries")),
-        args.getDouble("noise"),
-        static_cast<std::uint64_t>(args.getInt("seed")));
-
-    const auto batch = static_cast<std::size_t>(args.getInt("batch"));
-    const auto k = static_cast<std::size_t>(args.getInt("k"));
-    const std::string mode = args.get("mode");
+    auto queries = makeQueries(data, num_queries, noise, seed);
 
     std::unique_ptr<core::SearchStrategy> strategy;
     std::unique_ptr<serve::HermesBroker> broker;
@@ -119,19 +123,16 @@ main(int argc, char **argv)
         strategy = std::make_unique<core::CentroidRouting>(store);
     } else if (mode == "split-all") {
         strategy = std::make_unique<core::NaiveSplitSearch>(store);
-    } else if (mode == "serve") {
-        broker = std::make_unique<serve::HermesBroker>(store);
     } else {
-        HERMES_FATAL("unknown --mode '", mode, "'");
+        broker = std::make_unique<serve::HermesBroker>(store);
     }
 
     // Live observability while the profile runs (same hookup as
     // serving_demo; hermes_monitor can watch a long profile).
     std::unique_ptr<obs::Exporter> exporter;
-    if (args.given("http-port")) {
+    if (http) {
         obs::Exporter::Options options;
-        options.port =
-            static_cast<std::uint16_t>(args.getInt("http-port"));
+        options.port = http_port;
         exporter = std::make_unique<obs::Exporter>(options);
         if (broker) {
             serve::HermesBroker *b = broker.get();
@@ -148,11 +149,11 @@ main(int argc, char **argv)
         }
     }
     std::unique_ptr<obs::PeriodicFlusher> flusher;
-    if (args.getDouble("metrics-interval") > 0.0 &&
+    if (metrics_interval > 0.0 &&
         (args.given("metrics-json") || args.given("metrics-prom"))) {
         flusher = std::make_unique<obs::PeriodicFlusher>(
             args.get("metrics-json"), args.get("metrics-prom"),
-            args.getDouble("metrics-interval"));
+            metrics_interval);
     }
 
     util::Distribution batch_latency;

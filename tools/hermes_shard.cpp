@@ -18,7 +18,8 @@
  * cosmetic ordinal that distinguishes the copies in logs, the ready
  * line and /shard.
  *
- * Usage: see kUsage below (hermes_shard --help prints it).
+ * Usage: hermes_shard --cluster=N [--flag=value ...]; --help lists the
+ * flags.
  *
  * --index-file=PATH skips the in-process corpus + partition build and
  * serves a pre-built v3 index file instead: the file is opened as a
@@ -53,7 +54,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,21 +62,9 @@
 #include <vector>
 
 #include "hermes/hermes.hpp"
+#include "util/argparse.hpp"
 
 namespace {
-
-constexpr const char *kUsage =
-    "usage: hermes_shard --cluster=N [--replica=N] [--port=N] "
-    "[--bind=ADDR]\n"
-    "                    [--index-file=PATH] [--index-heap=0|1]\n"
-    "                    [--prefault=0|1]\n"
-    "                    [--num-docs=N] [--dim=N] [--topics=N]\n"
-    "                    [--clusters=N] [--nlist=N]\n"
-    "                    [--batch-window-us=N] [--max-batch=N]\n"
-    "                    [--fail-prob=P] [--drop-prob=P] [--delay-ms=MS]\n"
-    "                    [--http-port=PORT]\n"
-    "                    [--trace-out=FILE] [--trace-sample=N]\n"
-    "                    [--metrics-json=FILE] [--perf=0|1]\n";
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -83,15 +72,6 @@ void
 onSignal(int)
 {
     g_stop = 1;
-}
-
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
 }
 
 } // namespace
@@ -102,89 +82,80 @@ main(int argc, char **argv)
     using namespace hermes;
     util::setQuiet(true);
 
-    long cluster = -1;
-    long replica = 0;
-    int port = 0;
-    std::string bind_address = "127.0.0.1";
-    std::string index_file;
-    bool index_heap = false;
-    bool prefault = false;
-    std::size_t num_docs = 20000;
-    std::size_t dim = 32;
-    std::size_t topics = 30;
-    std::size_t clusters = 10;
-    std::size_t nlist = 0;
-    double batch_window_us = 0.0;
-    std::size_t max_batch = 0;
-    double fail_prob = 0.0;
-    double drop_prob = 0.0;
-    double delay_ms = 0.0;
-    int http_port = -1;
-    std::string trace_out;
-    long trace_sample = 0;
-    std::string metrics_json;
-    bool perf_flag = false;
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = matchOption(argv[i], "--cluster"))
-            cluster = std::strtol(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--replica"))
-            replica = std::strtol(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--port"))
-            port = std::atoi(v);
-        else if (const char *v = matchOption(argv[i], "--bind"))
-            bind_address = v;
-        else if (const char *v = matchOption(argv[i], "--index-file"))
-            index_file = v;
-        else if (const char *v = matchOption(argv[i], "--index-heap"))
-            index_heap = std::atoi(v) != 0;
-        else if (const char *v = matchOption(argv[i], "--prefault"))
-            prefault = std::atoi(v) != 0;
-        else if (const char *v = matchOption(argv[i], "--num-docs"))
-            num_docs = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--dim"))
-            dim = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--topics"))
-            topics = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--clusters"))
-            clusters = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--nlist"))
-            nlist = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--batch-window-us"))
-            batch_window_us = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--max-batch"))
-            max_batch = std::strtoul(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--fail-prob"))
-            fail_prob = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--drop-prob"))
-            drop_prob = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--delay-ms"))
-            delay_ms = std::strtod(v, nullptr);
-        else if (const char *v = matchOption(argv[i], "--http-port"))
-            http_port = std::atoi(v);
-        else if (const char *v = matchOption(argv[i], "--trace-out"))
-            trace_out = v;
-        else if (const char *v = matchOption(argv[i], "--trace-sample"))
-            trace_sample = std::strtol(v, nullptr, 10);
-        else if (const char *v = matchOption(argv[i], "--metrics-json"))
-            metrics_json = v;
-        else if (const char *v = matchOption(argv[i], "--perf"))
-            perf_flag = std::atoi(v) != 0;
-        else if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
-            return 2;
-        }
-    }
-    if (cluster < 0 ||
-        (index_file.empty() &&
-         static_cast<std::size_t>(cluster) >= clusters)) {
-        std::fprintf(stderr,
-                     "usage: hermes_shard --cluster=N (0..%zu) [options]\n",
-                     clusters - 1);
-        return 2;
-    }
+    util::ArgParser args("hermes_shard",
+                         "serve one cluster of the demo store over RPC");
+    args.addFlag("cluster", "", "cluster this shard serves (required)");
+    args.addFlag("replica", "0", "replica ordinal, for labels only");
+    args.addFlag("port", "0", "RPC port (0 = ephemeral)");
+    args.addFlag("bind", "127.0.0.1", "bind address");
+    args.addFlag("index-file", "", "serve this pre-built v3 index file");
+    args.addFlag("index-heap", "0",
+                 "with --index-file, copy to heap instead of mmap");
+    args.addFlag("prefault", "0",
+                 "with --index-file, touch every mapped page up front");
+    args.addFlag("num-docs", "20000", "synthetic corpus size");
+    args.addFlag("dim", "32", "embedding dimensionality");
+    args.addFlag("topics", std::to_string(core::kDemoTopics),
+                 "latent topics in the corpus");
+    args.addFlag("clusters", "10", "clusters in the fleet");
+    args.addFlag("nlist", "0", "inverted lists per cluster (0 = sqrt(n))");
+    args.addFlag("batch-window-us", "0", "micro-batching window (us)");
+    args.addFlag("max-batch", "0", "requests per batch (0 = node default)");
+    args.addFlag("fail-prob", "0", "per-request failure probability");
+    args.addFlag("drop-prob", "0", "per-request drop probability");
+    args.addFlag("delay-ms", "0", "injected delay on 20% of requests (ms)");
+    args.addFlag("http-port", "-1",
+                 "metrics endpoint port (0 = ephemeral, -1 = off)");
+    args.addFlag("trace-out", "",
+                 "write the span dump here on SIGINT/SIGTERM "
+                 "(or HERMES_TRACE_OUT)");
+    args.addFlag("trace-sample", "0",
+                 "record spans, one in N local traces "
+                 "(0 = HERMES_TRACE_SAMPLE or off)");
+    args.addFlag("metrics-json", "",
+                 "write the metrics registry here on SIGINT/SIGTERM "
+                 "(or HERMES_METRICS_JSON)");
+    args.addFlag("perf", "0", "per-phase perf counters and RAPL energy");
+    args.parse(argc, argv);
+
+    const std::string index_file = args.get("index-file");
+    const bool index_heap = args.getBool("index-heap");
+    index::IvfIndex::MmapOptions mopts;
+    mopts.prefault = args.getBool("prefault");
+    const auto clusters = args.getInt<std::size_t>("clusters", 1);
+    if (!args.given("cluster"))
+        args.fail("--cluster is required");
+    // With --index-file the cluster id only labels the shard.
+    const auto cluster = args.getInt<std::size_t>(
+        "cluster", 0,
+        index_file.empty() ? clusters - 1
+                           : std::numeric_limits<std::uint32_t>::max());
+    const auto replica = args.getInt<std::size_t>("replica");
+    const int http_port = args.getInt<int>("http-port", -1, 65535);
+    std::string trace_out = args.get("trace-out");
+    auto trace_sample = args.getInt<std::size_t>("trace-sample");
+    std::string metrics_json = args.get("metrics-json");
+
+    workload::CorpusConfig cc;
+    cc.num_docs = args.getInt<std::size_t>("num-docs", 1);
+    cc.dim = args.getInt<std::size_t>("dim", 1);
+    cc.num_topics = args.getInt<std::size_t>("topics", 1);
+    const auto nlist = args.getInt<std::size_t>("nlist");
+
+    serve::ShardServerOptions options;
+    options.bind_address = args.get("bind");
+    options.port = args.getInt<std::uint16_t>("port");
+    options.node.node_id = cluster;
+    options.node.batch_window_us = args.getDouble("batch-window-us", 0.0);
+    if (const auto max_batch = args.getInt<std::size_t>("max-batch"))
+        options.node.max_batch = max_batch;
+    options.node.faults.fail_probability =
+        args.getDouble("fail-prob", 0.0, 1.0);
+    options.node.faults.drop_probability =
+        args.getDouble("drop-prob", 0.0, 1.0);
+    options.node.faults.delay_ms = args.getDouble("delay-ms", 0.0);
+    options.node.faults.delay_probability =
+        options.node.faults.delay_ms > 0.0 ? 0.2 : 0.0;
 
     // Flags win; env vars fill the gaps so a supervisor can arm capture
     // fleet-wide without touching each shard's command line.
@@ -196,21 +167,23 @@ main(int argc, char **argv)
         if (const char *env = std::getenv("HERMES_METRICS_JSON"))
             metrics_json = env;
     }
-    if (trace_sample <= 0) {
-        if (const char *env = std::getenv("HERMES_TRACE_SAMPLE"))
-            trace_sample = std::strtol(env, nullptr, 10);
+    if (trace_sample == 0) {
+        const char *env = std::getenv("HERMES_TRACE_SAMPLE");
+        if (env != nullptr && !util::parseInt(env, trace_sample))
+            args.fail(std::string("HERMES_TRACE_SAMPLE expects a "
+                                  "non-negative integer, got '") +
+                      env + "'");
     }
-    if (perf_flag)
+    if (args.getBool("perf"))
         obs::setPerfEnabled(true); // HERMES_PERF=1 works without the flag
     // Start the recorder before the server: adopted remote contexts are
     // gated on the shard's own recorder, so spans must be recordable by
     // the time the first RPC lands. Shard-side "sampling" is decided by
     // the broker (it only propagates contexts for queries it sampled);
     // the local sample rate only affects locally-initiated traces.
-    if (!trace_out.empty() || trace_sample > 0) {
-        obs::TraceRecorder::instance().start(
-            trace_sample > 0 ? static_cast<std::size_t>(trace_sample) : 1);
-    }
+    if (!trace_out.empty() || trace_sample > 0)
+        obs::TraceRecorder::instance().start(std::max<std::size_t>(
+            trace_sample, 1));
     // Dump metadata lets hermes_trace_merge label this process and match
     // it to the broker's rpc.clock_sync record for its node id.
     const std::vector<obs::TraceArg> trace_metadata = {
@@ -226,8 +199,6 @@ main(int argc, char **argv)
         // open touches only the 256-byte header plus the tiny centroid
         // section, so restart-to-ready is milliseconds regardless of
         // shard size; scan kernels then run directly on mapped bytes.
-        index::IvfIndex::MmapOptions mopts;
-        mopts.prefault = prefault;
         loaded = core::loadOrFatal([&] {
             return index_heap
                        ? index::IvfIndex::load(index_file)
@@ -239,35 +210,11 @@ main(int argc, char **argv)
         // tests: matching flags on every process of the fleet reproduce
         // the exact in-process store, which is what makes the
         // out-of-process path bit-comparable.
-        workload::CorpusConfig cc;
-        cc.num_docs = num_docs;
-        cc.dim = dim;
-        cc.num_topics = topics;
         auto corpus = workload::generateCorpus(cc);
-
-        core::HermesConfig config;
-        config.num_clusters = clusters;
-        config.clusters_to_search = std::min<std::size_t>(3, clusters);
-        config.sample_nprobe = 4;
-        config.deep_nprobe = 32;
-        config.partition.seeds_to_try = 3;
-        config.nlist_per_cluster = nlist;
-        store.emplace(
-            core::DistributedStore::build(corpus.embeddings, config));
-        shard = &store->clusterIndex(static_cast<std::size_t>(cluster));
+        store.emplace(core::DistributedStore::build(
+            corpus.embeddings, core::demoStoreConfig(clusters, nlist)));
+        shard = &store->clusterIndex(cluster);
     }
-
-    serve::ShardServerOptions options;
-    options.bind_address = bind_address;
-    options.port = static_cast<std::uint16_t>(port);
-    options.node.node_id = static_cast<std::size_t>(cluster);
-    options.node.batch_window_us = batch_window_us;
-    if (max_batch > 0)
-        options.node.max_batch = max_batch;
-    options.node.faults.fail_probability = fail_prob;
-    options.node.faults.drop_probability = drop_prob;
-    options.node.faults.delay_probability = delay_ms > 0.0 ? 0.2 : 0.0;
-    options.node.faults.delay_ms = delay_ms;
 
     serve::ShardServer server(*shard, options);
     if (!server.start())
@@ -276,7 +223,7 @@ main(int argc, char **argv)
     std::unique_ptr<obs::Exporter> exporter;
     if (http_port >= 0) {
         obs::Exporter::Options eopts;
-        eopts.bind_address = bind_address;
+        eopts.bind_address = options.bind_address;
         eopts.port = static_cast<std::uint16_t>(http_port);
         exporter = std::make_unique<obs::Exporter>(eopts);
         // Shadow the builtin /trace.json so fetched dumps carry the
@@ -290,7 +237,7 @@ main(int argc, char **argv)
             char buf[256];
             std::snprintf(
                 buf, sizeof(buf),
-                "{\"cluster\": %ld, \"replica\": %ld, \"requests\": %llu, "
+                "{\"cluster\": %zu, \"replica\": %zu, \"requests\": %llu, "
                 "\"batches\": %llu, "
                 "\"connections\": %llu, \"errors\": %llu}",
                 cluster, replica,
@@ -302,7 +249,7 @@ main(int argc, char **argv)
         });
         if (exporter->start())
             std::printf("hermes_shard metrics http://%s:%u\n",
-                        bind_address.c_str(), exporter->port());
+                        options.bind_address.c_str(), exporter->port());
     }
 
     std::signal(SIGINT, onSignal);
@@ -312,11 +259,11 @@ main(int argc, char **argv)
     // bound port, so it must escape the stdio buffer immediately. New
     // fields (replica=) only ever append, keeping old launchers happy.
     if (replica > 0)
-        std::printf("hermes_shard ready cluster=%ld vectors=%zu port=%u "
-                    "replica=%ld\n",
+        std::printf("hermes_shard ready cluster=%zu vectors=%zu port=%u "
+                    "replica=%zu\n",
                     cluster, shard->size(), server.port(), replica);
     else
-        std::printf("hermes_shard ready cluster=%ld vectors=%zu port=%u\n",
+        std::printf("hermes_shard ready cluster=%zu vectors=%zu port=%u\n",
                     cluster, shard->size(), server.port());
     std::fflush(stdout);
 
@@ -332,7 +279,7 @@ main(int argc, char **argv)
     if (!metrics_json.empty())
         obs::Registry::instance().writeJson(metrics_json);
     auto stats = server.stats();
-    std::printf("hermes_shard exit cluster=%ld requests=%llu "
+    std::printf("hermes_shard exit cluster=%zu requests=%llu "
                 "connections=%llu errors=%llu\n",
                 cluster,
                 static_cast<unsigned long long>(stats.requests_served),

@@ -7,7 +7,9 @@
  * can align every shard's timestamps onto the broker's clock with no
  * cooperation from the shards beyond handing over their dumps.
  *
- * Usage: see kUsage below (hermes_trace_merge --help prints it).
+ * Usage: hermes_trace_merge --broker-trace=FILE [--shards=host:port,...]
+ *                           [--shard-file=FILE]... [--out=FILE]
+ * (--help lists the flags).
  *
  * --shards fetches /trace.json from each listed obs exporter endpoint
  * (a live fleet); --shard-file reads a dump a shard wrote on drain
@@ -22,128 +24,51 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/exporter.hpp"
+#include "serve/remote_node.hpp"
 #include "serve/trace_merge.hpp"
-
-namespace {
-
-constexpr const char *kUsage =
-    "usage: hermes_trace_merge --broker-trace=FILE\n"
-    "                          [--shards=host:port,host:port,...]\n"
-    "                          [--shard-file=FILE]...\n"
-    "                          [--out=FILE]\n";
-
-const char *
-matchOption(const char *arg, const char *name)
-{
-    std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
-    return true;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        if (comma == std::string::npos)
-            comma = list.size();
-        if (comma > start)
-            out.push_back(list.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-/** "host:port" → parts; false on anything unparseable. */
-bool
-splitEndpoint(const std::string &endpoint, std::string &host, int &port)
-{
-    std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return false;
-    host = endpoint.substr(0, colon);
-    port = std::atoi(endpoint.c_str() + colon + 1);
-    return port > 0 && port <= 65535;
-}
-
-} // namespace
+#include "util/argparse.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace hermes;
 
-    std::string broker_path;
-    std::vector<std::string> shard_endpoints;
-    std::vector<std::string> shard_files;
-    std::string out_path = "merged_trace.json";
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = matchOption(argv[i], "--broker-trace"))
-            broker_path = v;
-        else if (const char *v = matchOption(argv[i], "--shards")) {
-            for (const auto &endpoint : splitCommas(v))
-                shard_endpoints.push_back(endpoint);
-        } else if (const char *v = matchOption(argv[i], "--shard-file"))
-            shard_files.push_back(v);
-        else if (const char *v = matchOption(argv[i], "--out"))
-            out_path = v;
-        else if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n%s", argv[i], kUsage);
-            return 2;
-        }
-    }
-    if (broker_path.empty()) {
-        std::fputs(kUsage, stderr);
-        return 2;
-    }
+    util::ArgParser args("hermes_trace_merge",
+                         "merge per-process trace dumps into one fleet "
+                         "trace");
+    args.addFlag("broker-trace", "", "the broker's trace dump (required)");
+    args.addFlag("shards", "",
+                 "comma-separated host:port list of live shard exporters");
+    args.addFlag("shard-file", "",
+                 "a shard's drain-path trace dump (repeatable)");
+    args.addFlag("out", "merged_trace.json", "merged trace output");
+    args.parse(argc, argv);
+    if (!args.given("broker-trace"))
+        args.fail("--broker-trace is required");
+    const std::string broker_path = args.get("broker-trace");
+    const std::string out_path = args.get("out");
 
     serve::TraceDumpInput broker;
-    broker.source = broker_path;
-    if (!readFile(broker_path, broker.json)) {
+    if (!serve::readTraceDump(broker_path, broker)) {
         std::fprintf(stderr, "error: cannot read broker trace %s\n",
                      broker_path.c_str());
         return 1;
     }
 
     std::vector<serve::TraceDumpInput> shards;
-    for (const auto &endpoint : shard_endpoints) {
+    for (const auto &endpoint : args.getList("shards")) {
         std::string host;
-        int port = 0;
-        if (!splitEndpoint(endpoint, host, port)) {
-            std::fprintf(stderr, "error: bad endpoint %s\n",
-                         endpoint.c_str());
-            return 2;
-        }
+        std::uint16_t port = 0;
+        if (!serve::parseEndpoint(endpoint, host, port))
+            args.fail("--shards: bad host:port '" + endpoint + "'");
         serve::TraceDumpInput dump;
         dump.source = endpoint;
-        if (!obs::httpGet(host, static_cast<std::uint16_t>(port),
-                          "/trace.json", &dump.json)) {
+        if (!obs::httpGet(host, port, "/trace.json", &dump.json)) {
             std::fprintf(stderr,
                          "warning: fetch of %s/trace.json failed; "
                          "skipping that shard\n",
@@ -152,10 +77,9 @@ main(int argc, char **argv)
         }
         shards.push_back(std::move(dump));
     }
-    for (const auto &path : shard_files) {
+    for (const auto &path : args.getAll("shard-file")) {
         serve::TraceDumpInput dump;
-        dump.source = path;
-        if (!readFile(path, dump.json)) {
+        if (!serve::readTraceDump(path, dump)) {
             std::fprintf(stderr,
                          "warning: cannot read %s; skipping that shard\n",
                          path.c_str());
