@@ -13,18 +13,13 @@
 #include "hermes/hermes.hpp"
 #include "util/argparse.hpp"
 
+using namespace hermes;
+
+namespace {
+
 int
-main(int argc, char **argv)
+explore(const util::ArgParser &args)
 {
-    using namespace hermes;
-    util::setQuiet(true);
-
-    util::ArgParser args("index_explorer",
-                         "compare every index type on one corpus");
-    args.addFlag("num-docs", "20000", "synthetic corpus size");
-    args.addFlag("dim", "48", "embedding dimensionality");
-    args.parse(argc, argv);
-
     const auto dim = args.getInt<std::size_t>("dim", 1);
 
     workload::CorpusConfig cc;
@@ -89,4 +84,21 @@ main(int argc, char **argv)
                     1e6);
     std::filesystem::remove(path);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    util::setQuiet(true);
+
+    util::ArgParser args("index_explorer",
+                         "compare every index type on one corpus");
+    args.addFlag("num-docs", "20000", "synthetic corpus size");
+    args.addFlag("dim", "48", "embedding dimensionality");
+    args.parse(argc, argv);
+    // A corpus too small for an index (fewer rows than IVF lists) is
+    // an input error: exit 1 with a message.
+    return core::loadOrFatal([&] { return explore(args); });
 }

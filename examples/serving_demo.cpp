@@ -271,7 +271,9 @@ main(int argc, char **argv)
                     store_timer.elapsedSeconds() * 1e3,
                     index_heap ? "heap copies" : "zero-copy mmap");
     } else if (remotes.empty()) {
-        store = core::DistributedStore::build(corpus.embeddings, config);
+        store = core::loadOrFatal([&] {
+            return core::DistributedStore::build(corpus.embeddings, config);
+        });
     }
 
     workload::QueryConfig qc;

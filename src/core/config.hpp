@@ -72,7 +72,8 @@ struct HermesConfig
     /** Partitioning configuration (§4.1). */
     cluster::PartitionConfig partition;
 
-    /** Validate invariants; fatal on nonsense configurations. */
+    /** Validate invariants; throws std::invalid_argument on nonsense
+     *  configurations. */
     void validate() const;
 };
 

@@ -11,19 +11,17 @@ namespace core {
 void
 HermesConfig::validate() const
 {
-    if (num_clusters == 0)
-        HERMES_FATAL("HermesConfig: num_clusters must be >= 1");
-    if (clusters_to_search == 0 || clusters_to_search > num_clusters) {
-        HERMES_FATAL("HermesConfig: clusters_to_search (",
-                     clusters_to_search, ") must be in [1, num_clusters=",
-                     num_clusters, "]");
-    }
-    if (docs_to_retrieve == 0)
-        HERMES_FATAL("HermesConfig: docs_to_retrieve must be >= 1");
-    if (sample_k == 0)
-        HERMES_FATAL("HermesConfig: sample_k must be >= 1");
-    if (sample_nprobe == 0 || deep_nprobe == 0)
-        HERMES_FATAL("HermesConfig: nProbe values must be >= 1");
+    HERMES_REQUIRE(num_clusters != 0,
+                   "HermesConfig: num_clusters must be >= 1");
+    HERMES_REQUIRE(clusters_to_search != 0 &&
+                       clusters_to_search <= num_clusters,
+                   "HermesConfig: clusters_to_search (", clusters_to_search,
+                   ") must be in [1, num_clusters=", num_clusters, "]");
+    HERMES_REQUIRE(docs_to_retrieve != 0,
+                   "HermesConfig: docs_to_retrieve must be >= 1");
+    HERMES_REQUIRE(sample_k != 0, "HermesConfig: sample_k must be >= 1");
+    HERMES_REQUIRE(sample_nprobe != 0 && deep_nprobe != 0,
+                   "HermesConfig: nProbe values must be >= 1");
 }
 
 HermesConfig
@@ -44,8 +42,9 @@ DistributedStore::build(const vecstore::Matrix &data,
                         const HermesConfig &config)
 {
     config.validate();
-    HERMES_ASSERT(data.rows() >= config.num_clusters,
-                  "datastore smaller than cluster count");
+    HERMES_REQUIRE(data.rows() >= config.num_clusters,
+                   "datastore smaller than cluster count (", data.rows(),
+                   " rows, ", config.num_clusters, " clusters)");
 
     DistributedStore store;
     store.config_ = config;
@@ -62,8 +61,8 @@ DistributedStore::build(const vecstore::Matrix &data,
     store.indices_.resize(config.num_clusters);
     pool.parallelFor(config.num_clusters, [&](std::size_t c) {
         const auto &members = store.partition_.members[c];
-        HERMES_ASSERT(!members.empty(),
-                      "similarity partitioning produced empty cluster ", c);
+        HERMES_REQUIRE(!members.empty(),
+                       "similarity partitioning produced empty cluster ", c);
 
         vecstore::Matrix cluster_data = data.gather(members);
         std::vector<vecstore::VecId> ids;

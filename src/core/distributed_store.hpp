@@ -29,7 +29,8 @@ class DistributedStore
   public:
     /**
      * Partition @p data per @p config and build one IVF index per
-     * partition.
+     * partition. Throws std::invalid_argument on a bad config, fewer
+     * rows than clusters, or a partition that comes out empty.
      */
     static DistributedStore build(const vecstore::Matrix &data,
                                   const HermesConfig &config);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -77,11 +78,12 @@ DistributedStore loadStore(const std::filesystem::path &dir,
                            StoreLoadMode mode);
 
 /**
- * Run a loader (or writer), converting a typed format rejection into a
- * clean exit(1) — "io error", "truncated archive" or "corrupt archive"
- * plus the message — instead of an uncaught throw through
- * std::terminate. For use at binary entry points only: library code
- * wants the FormatError itself.
+ * Run a loader (or writer, or builder), converting a typed rejection
+ * into a clean exit(1) instead of an uncaught throw through
+ * std::terminate: a FormatError prints "io error", "truncated archive"
+ * or "corrupt archive", an std::invalid_argument (HERMES_REQUIRE)
+ * "invalid input", each plus the message. For use at binary entry
+ * points only: library code wants the typed error itself.
  */
 template <typename Fn>
 auto
@@ -96,6 +98,8 @@ loadOrFatal(Fn &&fn) -> decltype(fn())
                          ? "truncated archive"
                          : "corrupt archive",
                      ": ", e.what());
+    } catch (const std::invalid_argument &e) {
+        HERMES_FATAL("invalid input: ", e.what());
     }
 }
 

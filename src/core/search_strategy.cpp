@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
@@ -10,6 +11,34 @@
 
 namespace hermes {
 namespace core {
+
+namespace {
+
+/**
+ * The deep phase every distributed strategy shares: search @p clusters
+ * in order at @p nprobe, recording each node's work and the deep set in
+ * @p result. Returns the partials for SearchPlan::merge.
+ */
+std::vector<ProbeResult>
+searchDeep(const DistributedStore &store, std::vector<std::uint32_t> clusters,
+           vecstore::VecView query, std::size_t k, std::size_t nprobe,
+           QueryResult &result)
+{
+    index::SearchParams params;
+    params.nprobe = nprobe;
+    result.deep_stats.resize(store.numClusters());
+    std::vector<ProbeResult> partials;
+    partials.reserve(clusters.size());
+    for (std::uint32_t c : clusters) {
+        partials.emplace_back(store.clusterIndex(c).search(
+            query, k, params, &result.deep_stats[c]));
+        result.total.merge(result.deep_stats[c]);
+    }
+    result.deep_clusters = std::move(clusters);
+    return partials;
+}
+
+} // namespace
 
 workload::ClusterTrace
 SearchStrategy::traceBatch(const vecstore::Matrix &queries, std::size_t k,
@@ -31,6 +60,64 @@ SearchStrategy::traceBatch(const vecstore::Matrix &queries, std::size_t k,
             results->push_back(std::move(result.hits));
     }
     return trace;
+}
+
+// ---------------------------------------------------------------------------
+// SearchPlan
+// ---------------------------------------------------------------------------
+
+RankedClusters
+SearchPlan::rank(const std::vector<ProbeResult> &samples)
+{
+    RankedClusters ranked;
+    ranked.reserve(samples.size());
+    for (std::size_t c = 0; c < samples.size(); ++c) {
+        if (samples[c]) {
+            ranked.emplace_back(samples[c]->empty()
+                                    ? std::numeric_limits<float>::max()
+                                    : samples[c]->front().score,
+                                static_cast<std::uint32_t>(c));
+        }
+    }
+    std::sort(ranked.begin(), ranked.end());
+    return ranked;
+}
+
+std::vector<std::uint32_t>
+SearchPlan::deepSet(const RankedClusters &ranked,
+                    std::size_t num_clusters) const
+{
+    std::vector<std::uint32_t> deep;
+    if (ranked.empty()) {
+        for (std::size_t c = 0;
+             c < std::min(clusters_to_search, num_clusters); ++c)
+            deep.push_back(static_cast<std::uint32_t>(c));
+        return deep;
+    }
+    const std::size_t count =
+        deepClusterCount(ranked, clusters_to_search, adaptive_epsilon);
+    for (std::size_t i = 0; i < count; ++i)
+        deep.push_back(ranked[i].second);
+    return deep;
+}
+
+vecstore::HitList
+SearchPlan::merge(std::vector<ProbeResult> deep,
+                  std::vector<ProbeResult> samples, std::size_t k)
+{
+    std::vector<vecstore::HitList> lists;
+    bool lost = false;
+    for (ProbeResult &partial : deep) {
+        if (partial)
+            lists.push_back(std::move(*partial));
+        else
+            lost = true;
+    }
+    for (ProbeResult &hits : samples) {
+        if (lost && hits)
+            lists.push_back(std::move(*hits));
+    }
+    return vecstore::mergeHitLists(lists, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -77,23 +164,13 @@ NaiveSplitSearch::NaiveSplitSearch(const DistributedStore &store)
 QueryResult
 NaiveSplitSearch::search(vecstore::VecView query, std::size_t k) const
 {
-    const auto &config = store_.config();
     QueryResult result;
-    const std::size_t n = store_.numClusters();
-    result.deep_stats.resize(n);
-    result.deep_clusters.reserve(n);
-
-    std::vector<vecstore::HitList> partials;
-    partials.reserve(n);
-    index::SearchParams params;
-    params.nprobe = config.deep_nprobe;
-    for (std::size_t c = 0; c < n; ++c) {
-        partials.push_back(store_.clusterIndex(c).search(
-            query, k, params, &result.deep_stats[c]));
-        result.deep_clusters.push_back(static_cast<std::uint32_t>(c));
-        result.total.merge(result.deep_stats[c]);
-    }
-    result.hits = vecstore::mergeHitLists(partials, k);
+    std::vector<std::uint32_t> all(store_.numClusters());
+    std::iota(all.begin(), all.end(), 0u);
+    result.hits = SearchPlan::merge(
+        searchDeep(store_, std::move(all), query, k,
+                   store_.config().deep_nprobe, result),
+        {}, k);
     return result;
 }
 
@@ -115,12 +192,7 @@ CentroidRouting::CentroidRouting(const DistributedStore &store,
 QueryResult
 CentroidRouting::search(vecstore::VecView query, std::size_t k) const
 {
-    const auto &config = store_.config();
     QueryResult result;
-    result.deep_stats.resize(store_.numClusters());
-
-    auto ranked = cluster::nearestCentroids(query, store_.centroids(),
-                                            clusters_to_search_);
     // Centroid comparisons are counted as sampling-phase work: one
     // distance per cluster.
     result.sample_stats.resize(store_.numClusters());
@@ -128,17 +200,12 @@ CentroidRouting::search(vecstore::VecView query, std::size_t k) const
         result.sample_stats[c].distance_computations = 1;
         result.total.distance_computations += 1;
     }
-
-    std::vector<vecstore::HitList> partials;
-    index::SearchParams params;
-    params.nprobe = config.deep_nprobe;
-    for (auto c : ranked) {
-        partials.push_back(store_.clusterIndex(c).search(
-            query, k, params, &result.deep_stats[c]));
-        result.deep_clusters.push_back(c);
-        result.total.merge(result.deep_stats[c]);
-    }
-    result.hits = vecstore::mergeHitLists(partials, k);
+    result.hits = SearchPlan::merge(
+        searchDeep(store_,
+                   cluster::nearestCentroids(query, store_.centroids(),
+                                             clusters_to_search_),
+                   query, k, store_.config().deep_nprobe, result),
+        {}, k);
     return result;
 }
 
@@ -151,20 +218,20 @@ HermesSearch::HermesSearch(const DistributedStore &store,
                            std::size_t sample_nprobe_override,
                            std::size_t deep_nprobe_override)
     : store_(store),
-      clusters_to_search_(clusters_override
-                              ? clusters_override
-                              : store.config().clusters_to_search),
+      plan_{clusters_override ? clusters_override
+                              : store.config().clusters_to_search,
+            store.config().adaptive_epsilon},
       sample_nprobe_(sample_nprobe_override
                          ? sample_nprobe_override
                          : store.config().sample_nprobe),
       deep_nprobe_(deep_nprobe_override ? deep_nprobe_override
                                         : store.config().deep_nprobe)
 {
-    HERMES_ASSERT(clusters_to_search_ <= store_.numClusters(),
+    HERMES_ASSERT(plan_.clusters_to_search <= store_.numClusters(),
                   "clusters_to_search exceeds cluster count");
 }
 
-std::vector<std::pair<float, std::uint32_t>>
+RankedClusters
 HermesSearch::rankClustersBySampling(
     vecstore::VecView query,
     std::vector<index::SearchStats> &sample_stats) const
@@ -181,17 +248,13 @@ HermesSearch::rankClustersBySampling(
     index::SearchParams params;
     params.nprobe = sample_nprobe_;
 
-    std::vector<std::pair<float, std::uint32_t>> scored;
-    scored.reserve(n);
+    std::vector<ProbeResult> samples;
+    samples.reserve(n);
     for (std::size_t c = 0; c < n; ++c) {
-        auto hits = store_.clusterIndex(c).search(query, config.sample_k,
-                                                  params, &sample_stats[c]);
-        float best = hits.empty() ? std::numeric_limits<float>::max()
-                                  : hits.front().score;
-        scored.emplace_back(best, static_cast<std::uint32_t>(c));
+        samples.emplace_back(store_.clusterIndex(c).search(
+            query, config.sample_k, params, &sample_stats[c]));
     }
-    std::sort(scored.begin(), scored.end());
-    return scored;
+    return SearchPlan::rank(samples);
 }
 
 QueryResult
@@ -205,8 +268,6 @@ HermesSearch::search(vecstore::VecView query, std::size_t k) const
         obs::names::kCoreDeepPhaseUs);
 
     QueryResult result;
-    result.deep_stats.resize(store_.numClusters());
-
     obs::TraceContext trace_context(
         obs::TraceRecorder::instance().sampleQuery());
     obs::ScopedSpan query_span("core.search");
@@ -215,7 +276,7 @@ HermesSearch::search(vecstore::VecView query, std::size_t k) const
     util::Timer phase_timer;
 
     // Phase 1: sample + rank.
-    std::vector<std::pair<float, std::uint32_t>> ranked;
+    RankedClusters ranked;
     {
         obs::ScopedSpan span("core.sample");
         ranked = rankClustersBySampling(query, result.sample_stats);
@@ -228,26 +289,19 @@ HermesSearch::search(vecstore::VecView query, std::size_t k) const
     // enabled, clusters far from the best sampled distance are skipped
     // (extension; see HermesConfig::adaptive_epsilon).
     phase_timer.reset();
-    index::SearchParams params;
-    params.nprobe = deep_nprobe_;
-    std::vector<vecstore::HitList> partials;
-    const std::size_t deep = deepClusterCount(
-        ranked, clusters_to_search_, store_.config().adaptive_epsilon);
+    std::vector<ProbeResult> partials;
     {
+        std::vector<std::uint32_t> deep =
+            plan_.deepSet(ranked, store_.numClusters());
         obs::ScopedSpan span("core.deep");
-        span.arg("clusters", static_cast<std::uint64_t>(deep));
-        for (std::size_t i = 0; i < deep; ++i) {
-            std::uint32_t c = ranked[i].second;
-            partials.push_back(store_.clusterIndex(c).search(
-                query, k, params, &result.deep_stats[c]));
-            result.deep_clusters.push_back(c);
-            result.total.merge(result.deep_stats[c]);
-        }
+        span.arg("clusters", static_cast<std::uint64_t>(deep.size()));
+        partials = searchDeep(store_, std::move(deep), query, k,
+                              deep_nprobe_, result);
     }
     h_deep.observe(phase_timer.elapsedMicros());
 
     // Phase 3: rerank merged candidates into the final top-k.
-    result.hits = vecstore::mergeHitLists(partials, k);
+    result.hits = SearchPlan::merge(std::move(partials), {}, k);
     h_query.observe(query_timer.elapsedMicros());
     return result;
 }

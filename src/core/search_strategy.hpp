@@ -7,6 +7,10 @@
  *  - CentroidRouting:  distributed shards, route by cluster centroid only.
  *  - HermesSearch:     distributed shards, hierarchical sample-then-deep
  *                      search (the paper's contribution, §4.2).
+ *
+ * SearchPlan writes the §4.2 policy once — rank, deep set, merge, and the
+ * degraded-query rules — for its two executors: HermesSearch over direct
+ * index calls and serve::HermesBroker over NodeClient probes.
  */
 
 #pragma once
@@ -15,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +66,12 @@ adaptivePruneBound(float best, double epsilon)
     return best + static_cast<float>(epsilon) * std::fabs(best);
 }
 
+/** (sampled best score, cluster id) pairs, best first. */
+using RankedClusters = std::vector<std::pair<float, std::uint32_t>>;
+
+/** One cluster probe's hits; std::nullopt when the probe was lost. */
+using ProbeResult = std::optional<vecstore::HitList>;
+
 /**
  * The deep-search plan shared by HermesSearch and the serving broker: how
  * many clusters of the best-first @p ranked list to deep-search. That is
@@ -69,7 +80,7 @@ adaptivePruneBound(float best, double epsilon)
  * adaptivePruneBound of the best, but never fewer than one.
  */
 inline std::size_t
-deepClusterCount(const std::vector<std::pair<float, std::uint32_t>> &ranked,
+deepClusterCount(const RankedClusters &ranked,
                  std::size_t clusters_to_search, double epsilon)
 {
     const std::size_t deep = std::min(clusters_to_search, ranked.size());
@@ -81,6 +92,40 @@ deepClusterCount(const std::vector<std::pair<float, std::uint32_t>> &ranked,
         ++keep;
     return std::max<std::size_t>(keep, 1);
 }
+
+/**
+ * The hierarchical search plan (paper §4.2), pure and thread-free: it
+ * takes probe results and decides what to compute, never where or when.
+ * Its degraded-query rules matter only to an executor whose probes can
+ * be lost; a fault-free query never takes them.
+ */
+struct SearchPlan
+{
+    /** HermesConfig::clusters_to_search (or a strategy's override). */
+    std::size_t clusters_to_search = 0;
+
+    /** HermesConfig::adaptive_epsilon. */
+    double adaptive_epsilon = 0.0;
+
+    /** Rank clusters by best sampled document, @p samples[c] being
+     *  cluster c's sample. A lost cluster is not ranked; an empty hit
+     *  list ranks last, at FLT_MAX. */
+    static RankedClusters rank(const std::vector<ProbeResult> &samples);
+
+    /** The clusters to deep-search, best first (deepClusterCount). When
+     *  nothing was ranked (every sample lost), the first
+     *  min(clusters_to_search, @p num_clusters) in id order instead. */
+    std::vector<std::uint32_t> deepSet(const RankedClusters &ranked,
+                                       std::size_t num_clusters) const;
+
+    /** The deep partials, merged into the final top-k. When any deep
+     *  probe was lost the sample hits are merged in too, so fewer than k
+     *  hits come back only when every deep probe was lost and sampling
+     *  yielded too little. */
+    static vecstore::HitList merge(std::vector<ProbeResult> deep,
+                                   std::vector<ProbeResult> samples,
+                                   std::size_t k);
+};
 
 /** Abstract retrieval strategy. */
 class SearchStrategy
@@ -172,7 +217,8 @@ class CentroidRouting : public SearchStrategy
 };
 
 /**
- * Hermes hierarchical search (paper §4.2, Fig 11 left):
+ * Hermes hierarchical search (paper §4.2, Fig 11 left), SearchPlan run
+ * over direct IvfIndex::search calls:
  *  1. sample every cluster with a cheap low-nProbe search (sample_k docs),
  *  2. rank clusters by their best sampled document's distance,
  *  3. deep-search the top clusters_to_search clusters with a high nProbe,
@@ -205,14 +251,14 @@ class HermesSearch : public SearchStrategy
      * (sampled best distance, cluster id) pairs best-first and
      * accumulates sampling work into @p sample_stats.
      */
-    std::vector<std::pair<float, std::uint32_t>>
+    RankedClusters
     rankClustersBySampling(vecstore::VecView query,
                            std::vector<index::SearchStats>
                                &sample_stats) const;
 
   private:
     const DistributedStore &store_;
-    std::size_t clusters_to_search_;
+    SearchPlan plan_;
     std::size_t sample_nprobe_;
     std::size_t deep_nprobe_;
 };

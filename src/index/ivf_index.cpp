@@ -57,9 +57,9 @@ IvfIndex::train(const vecstore::Matrix &data)
 {
     assertMutable("train");
     HERMES_ASSERT(data.dim() == dim_, "train dim mismatch");
-    HERMES_ASSERT(data.rows() >= config_.nlist,
-                  "IVF training needs >= nlist points (", config_.nlist,
-                  "), got ", data.rows());
+    HERMES_REQUIRE(data.rows() >= config_.nlist,
+                   "IVF training needs >= nlist points (", config_.nlist,
+                   "), got ", data.rows());
 
     cluster::KMeansConfig km;
     km.k = config_.nlist;

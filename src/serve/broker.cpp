@@ -4,18 +4,15 @@
 #include <array>
 #include <chrono>
 #include <functional>
-#include <limits>
-#include <optional>
+#include <numeric>
 #include <thread>
 
 #include "cluster/imbalance.hpp"
-#include "core/search_strategy.hpp"
 #include "obs/perf.hpp"
 #include "sim/hardware.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
-#include "vecstore/topk.hpp"
 
 namespace hermes {
 namespace serve {
@@ -34,58 +31,66 @@ microsFromDouble(double us)
         std::max<std::int64_t>(1, static_cast<std::int64_t>(us)));
 }
 
+/** An in-process node @p node_id over the store's shard of @p cluster,
+ *  with that cluster's node_faults override. */
+std::unique_ptr<NodeClient>
+localNode(const core::DistributedStore &store, const BrokerConfig &config,
+          std::size_t cluster, std::size_t node_id)
+{
+    NodeConfig node_config = config.node;
+    if (cluster < config.node_faults.size())
+        node_config.faults = config.node_faults[cluster];
+    node_config.node_id = node_id;
+    return std::make_unique<LocalNodeClient>(store.clusterIndex(cluster),
+                                             node_config);
+}
+
+/** One local node per cluster, node i serving cluster i. */
+std::vector<std::unique_ptr<NodeClient>>
+localFleet(const core::DistributedStore &store, const BrokerConfig &config)
+{
+    std::vector<std::unique_ptr<NodeClient>> nodes;
+    nodes.reserve(store.numClusters());
+    for (std::size_t c = 0; c < store.numClusters(); ++c)
+        nodes.push_back(localNode(store, config, c, c));
+    return nodes;
+}
+
+/** @p config with replica_map cleared: a store-backed broker always
+ *  places its fleet one node per cluster (replicate adds the rest). */
+BrokerConfig
+identityPlacement(BrokerConfig config)
+{
+    config.replica_map = ReplicaMap();
+    return config;
+}
+
 } // namespace
 
 HermesBroker::HermesBroker(const core::DistributedStore &store,
                            const BrokerConfig &config)
-    : hermes_config_(store.config()), config_(config), store_(&store),
-      h_query_latency_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerQueryLatencyUs)),
-      h_sample_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerSamplePhaseUs)),
-      h_deep_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerDeepPhaseUs)),
-      h_merge_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerMergePhaseUs)),
-      c_queries_(obs::Registry::instance().windowedCounter(
-          obs::names::kBrokerQueries)),
-      h_sample_probe_us_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerSampleProbeUs)),
-      start_time_(Clock::now())
+    : HermesBroker(store.config(), localFleet(store, config),
+                   identityPlacement(config))
 {
-    nodes_.reserve(store.numClusters());
-    for (std::size_t c = 0; c < store.numClusters(); ++c) {
-        NodeConfig node_config = config_.node;
-        if (c < config_.node_faults.size())
-            node_config.faults = config_.node_faults[c];
-        node_config.node_id = c;
-        nodes_.push_back(std::make_unique<LocalNodeClient>(
-            store.clusterIndex(c), node_config));
-    }
-    initTopology(ReplicaMap::identity(nodes_.size()));
-    initCounters();
-
+    store_ = &store;
     // Static replication: extra LocalNodeClients over the same immutable
     // shard indices — bit-identical replicas by construction.
     for (const auto &[cluster, total] : config_.replicate) {
         HERMES_ASSERT(cluster < store.numClusters(),
                       "replicate spec names a cluster the store lacks");
-        for (std::uint32_t r = 1; r < total; ++r) {
-            NodeConfig node_config = config_.node;
-            if (cluster < config_.node_faults.size())
-                node_config.faults = config_.node_faults[cluster];
-            node_config.node_id = nodes_.size();
-            addReplica(cluster, std::make_unique<LocalNodeClient>(
-                                    store.clusterIndex(cluster),
-                                    node_config));
-        }
+        for (std::uint32_t r = 1; r < total; ++r)
+            addReplica(cluster,
+                       localNode(store, config_, cluster, numNodes()));
     }
 }
 
 HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
                            std::vector<std::unique_ptr<NodeClient>> nodes,
                            const BrokerConfig &config)
-    : hermes_config_(hermes_config), config_(config),
+    : hermes_config_(hermes_config),
+      plan_{hermes_config.clusters_to_search,
+            hermes_config.adaptive_epsilon},
+      config_(config),
       nodes_(std::move(nodes)),
       h_query_latency_(obs::Registry::instance().windowedHistogram(
           obs::names::kBrokerQueryLatencyUs)),
@@ -102,45 +107,31 @@ HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
       start_time_(Clock::now())
 {
     HERMES_ASSERT(!nodes_.empty(), "broker needs at least one node");
-    if (config_.replica_map.empty()) {
-        initTopology(ReplicaMap::identity(nodes_.size()));
-    } else {
+    if (!config_.replica_map.empty()) {
         HERMES_ASSERT(config_.replica_map.complete(),
                       "replica map must cover every cluster with "
                       "disjoint nodes");
         HERMES_ASSERT(config_.replica_map.numNodes() == nodes_.size(),
                       "replica map references a different node count "
                       "than was passed in");
-        initTopology(config_.replica_map);
     }
-    initCounters();
-}
-
-void
-HermesBroker::initTopology(const ReplicaMap &map)
-{
+    const ReplicaMap map = config_.replica_map.empty()
+        ? ReplicaMap::identity(nodes_.size())
+        : config_.replica_map;
     auto &registry = obs::Registry::instance();
     topology_.resize(map.numClusters());
     node_clusters_.assign(nodes_.size(), 0);
+    cluster_counters_.reserve(map.numClusters());
     for (std::size_t c = 0; c < map.numClusters(); ++c) {
-        const std::vector<std::uint32_t> &nodes = map.replicas(c);
-        topology_[c].reserve(nodes.size());
-        for (std::size_t slot = 0; slot < nodes.size(); ++slot) {
-            std::uint32_t node = nodes[slot];
+        const std::vector<std::uint32_t> &replicas = map.replicas(c);
+        topology_[c].reserve(replicas.size());
+        for (std::size_t slot = 0; slot < replicas.size(); ++slot) {
+            std::uint32_t node = replicas[slot];
             topology_[c].push_back(ReplicaSlot{
                 nodes_[node].get(), node,
                 &registry.counter(obs::names::routeMetric(c, slot))});
             node_clusters_[node] = static_cast<std::uint32_t>(c);
         }
-    }
-}
-
-void
-HermesBroker::initCounters()
-{
-    auto &registry = obs::Registry::instance();
-    cluster_counters_.reserve(topology_.size());
-    for (std::size_t c = 0; c < topology_.size(); ++c) {
         cluster_counters_.push_back(ClusterCounters{
             registry.counter(obs::names::nodeMetric(
                 c, obs::names::kNodeSampleRequests)),
@@ -188,14 +179,8 @@ HermesBroker::autoReplicate(const ReplicationPolicy &policy)
     std::size_t added = 0;
     for (const ReplicaPlanEntry &entry : plan) {
         for (std::uint32_t r = 0; r < entry.extras; ++r) {
-            NodeConfig node_config = config_.node;
-            if (entry.cluster < config_.node_faults.size())
-                node_config.faults = config_.node_faults[entry.cluster];
-            node_config.node_id = numNodes();
-            addReplica(entry.cluster,
-                       std::make_unique<LocalNodeClient>(
-                           store_->clusterIndex(entry.cluster),
-                           node_config));
+            addReplica(entry.cluster, localNode(*store_, config_,
+                                                entry.cluster, numNodes()));
             ++added;
         }
     }
@@ -400,6 +385,48 @@ HermesBroker::awaitProbe(Probe probe, const std::vector<ReplicaSlot> &slots,
     }
 }
 
+std::vector<core::ProbeResult>
+HermesBroker::probeClusters(const Topology &topology,
+                            const std::vector<std::uint32_t> &clusters,
+                            bool sample, vecstore::VecView query,
+                            std::size_t k, const index::SearchParams &params,
+                            double hedge_trigger_us,
+                            ProbeCounters &counters) const
+{
+    // Fan out first, each probe routed to one replica by
+    // power-of-two-choices, so the clusters search concurrently.
+    std::vector<Probe> probes;
+    probes.reserve(clusters.size());
+    for (std::uint32_t c : clusters) {
+        const std::size_t slot = pickSlot(topology[c]);
+        topology[c][slot].routed->add(1);
+        (sample ? cluster_counters_[c].sample_requests
+                : cluster_counters_[c].deep_requests)
+            .add(1);
+        probes.push_back(submitProbe(topology[c], slot, query, k, params));
+    }
+
+    // Then await in cluster order; a lost probe stays std::nullopt.
+    std::vector<core::ProbeResult> results(clusters.size());
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+        const std::uint32_t c = clusters[i];
+        const Clock::time_point submitted = probes[i].submitted;
+        NodeOutcome outcome =
+            awaitProbe(std::move(probes[i]), topology[c], hedge_trigger_us,
+                       query, k, params, counters);
+        if (!outcome.ok)
+            continue;
+        if (sample) {
+            h_sample_probe_us_.observe(
+                std::chrono::duration<double, std::micro>(
+                    Clock::now() - submitted).count());
+        }
+        cluster_counters_[c].hits_returned.add(outcome.response.hits.size());
+        results[i] = std::move(outcome.response.hits);
+    }
+    return results;
+}
+
 vecstore::HitList
 HermesBroker::search(vecstore::VecView query, std::size_t k,
                      std::vector<std::uint32_t> &deep_clusters) const
@@ -445,125 +472,44 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     query_span.arg("k", static_cast<std::uint64_t>(k));
     util::Timer query_timer;
 
-    // Phase 1: broadcast the sampling request (paper §4.2 step 2), each
-    // cluster's probe routed to one replica by power-of-two-choices.
+    // Phase 1: broadcast the sampling request (paper §4.2 step 2) and rank
+    // the clusters. A cluster whose sample was lost is not ranked.
     util::Timer phase_timer;
-    std::optional<obs::ScopedSpan> sample_span;
-    sample_span.emplace("broker.sample");
-    // Hardware-counter attribution for the phase (no-op unless --perf).
-    std::optional<obs::PerfScope> sample_perf;
-    sample_perf.emplace(obs::PerfPhase::Sample);
-    index::SearchParams sample_params;
-    sample_params.nprobe = config.sample_nprobe;
-    std::vector<Probe> sample_probes;
-    sample_probes.reserve(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        const std::size_t slot = pickSlot(topology[c]);
-        topology[c][slot].routed->add(1);
-        cluster_counters_[c].sample_requests.add(1);
-        sample_probes.push_back(submitProbe(topology[c], slot, query,
-                                            config.sample_k, sample_params));
+    std::vector<core::ProbeResult> samples;
+    core::RankedClusters ranked;
+    {
+        obs::ScopedSpan sample_span("broker.sample");
+        // Hardware-counter attribution for the phase (no-op unless --perf).
+        obs::PerfScope sample_perf(obs::PerfPhase::Sample);
+        std::vector<std::uint32_t> all(n);
+        std::iota(all.begin(), all.end(), 0u);
+        index::SearchParams sample_params;
+        sample_params.nprobe = config.sample_nprobe;
+        samples = probeClusters(topology, all, true, query, config.sample_k,
+                                sample_params, hedge_trigger_us, counters);
+        ranked = core::SearchPlan::rank(samples);
+        sample_span.arg("clusters_sampled",
+                        static_cast<std::uint64_t>(ranked.size()));
     }
-
-    // Rank clusters by best sampled document distance. A cluster whose
-    // sampling request was lost (timeout/failure after retry) is simply
-    // not a deep-search candidate this query.
-    std::vector<std::pair<float, std::uint32_t>> ranked;
-    std::vector<vecstore::HitList> sample_hits;
-    ranked.reserve(n);
-    sample_hits.reserve(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        const Clock::time_point submitted = sample_probes[c].submitted;
-        auto outcome = awaitProbe(std::move(sample_probes[c]), topology[c],
-                                  hedge_trigger_us, query, config.sample_k,
-                                  sample_params, counters);
-        if (!outcome.ok)
-            continue;
-        h_sample_probe_us_.observe(
-            std::chrono::duration<double, std::micro>(
-                Clock::now() - submitted).count());
-        cluster_counters_[c].hits_returned.add(
-            outcome.response.hits.size());
-        float best = outcome.response.hits.empty()
-            ? std::numeric_limits<float>::max()
-            : outcome.response.hits.front().score;
-        ranked.emplace_back(best, static_cast<std::uint32_t>(c));
-        sample_hits.push_back(std::move(outcome.response.hits));
-    }
-    std::sort(ranked.begin(), ranked.end());
-    sample_span->arg("clusters_sampled",
-                     static_cast<std::uint64_t>(ranked.size()));
-    sample_perf.reset();
-    sample_span.reset();
     h_sample_phase_.observe(phase_timer.elapsedMicros());
 
-    if (ranked.empty()) {
-        // Every node lost its sampling request. Best effort: deep-search
-        // the configured number of clusters in id order anyway — some may
-        // answer deep requests even after a lost sample.
-        for (std::size_t c = 0;
-             c < std::min(config.clusters_to_search, n); ++c) {
-            ranked.emplace_back(std::numeric_limits<float>::max(),
-                                static_cast<std::uint32_t>(c));
-        }
-    }
-
-    // Phase 2: deep-search the top clusters (with optional adaptive
-    // pruning, matching core::HermesSearch semantics).
-    const std::size_t deep = core::deepClusterCount(
-        ranked, config.clusters_to_search, config.adaptive_epsilon);
-
+    // Phase 2: deep-search the plan's deep set. Deep requests are never
+    // hedged: they keep the deadline and failover rules alone.
+    deep_clusters = plan_.deepSet(ranked, n);
+    const std::size_t deep = deep_clusters.size();
     phase_timer.reset();
-    std::optional<obs::ScopedSpan> deep_span;
-    deep_span.emplace("broker.deep");
-    std::optional<obs::PerfScope> deep_perf;
-    deep_perf.emplace(obs::PerfPhase::Deep);
-    deep_span->arg("clusters", static_cast<std::uint64_t>(deep));
-    index::SearchParams deep_params;
-    deep_params.nprobe = config.deep_nprobe;
-    std::vector<Probe> deep_probes;
-    deep_probes.reserve(deep);
-    deep_clusters.clear();
-    for (std::size_t i = 0; i < deep; ++i) {
-        std::uint32_t c = ranked[i].second;
-        deep_clusters.push_back(c);
-        const std::size_t slot = pickSlot(topology[c]);
-        topology[c][slot].routed->add(1);
-        cluster_counters_[c].deep_requests.add(1);
-        deep_probes.push_back(
-            submitProbe(topology[c], slot, query, k, deep_params));
+    std::vector<core::ProbeResult> partials;
+    {
+        obs::ScopedSpan deep_span("broker.deep");
+        obs::PerfScope deep_perf(obs::PerfPhase::Deep);
+        deep_span.arg("clusters", static_cast<std::uint64_t>(deep));
+        index::SearchParams deep_params;
+        deep_params.nprobe = config.deep_nprobe;
+        partials = probeClusters(topology, deep_clusters, false, query, k,
+                                 deep_params, -1.0, counters);
     }
-
-    // Deep requests are never hedged: they keep the deadline and
-    // failover rules alone.
-    std::vector<vecstore::HitList> partials;
-    partials.reserve(deep);
-    std::size_t deep_ok = 0;
-    for (std::size_t i = 0; i < deep; ++i) {
-        auto outcome =
-            awaitProbe(std::move(deep_probes[i]), topology[deep_clusters[i]],
-                       -1.0, query, k, deep_params, counters);
-        if (outcome.ok) {
-            cluster_counters_[deep_clusters[i]].hits_returned.add(
-                outcome.response.hits.size());
-            partials.push_back(std::move(outcome.response.hits));
-            ++deep_ok;
-        }
-    }
-    deep_perf.reset();
-    deep_span.reset();
     h_deep_phase_.observe(phase_timer.elapsedMicros());
 
-    // Graceful degradation: when a deep node was lost, backfill with the
-    // sampling hits already in hand so the merged answer keeps as many of
-    // the top-k as possible. Fewer than k hits can only happen when every
-    // deep node failed and sampling yielded too little. Fault-free
-    // queries never take this path, preserving bit-parity with
-    // core::HermesSearch.
-    if (deep_ok < deep) {
-        for (auto &hits : sample_hits)
-            partials.push_back(std::move(hits));
-    }
     bool degraded = counters.timeouts > 0 || counters.failures > 0;
     if (degraded) {
         HERMES_DEBUG("degraded query: ", counters.timeouts, " timeouts, ",
@@ -625,9 +571,14 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
     {
         obs::ScopedSpan merge_span("broker.merge");
         obs::PerfScope merge_perf(obs::PerfPhase::Merge);
+        const auto deep_ok = static_cast<std::size_t>(std::count_if(
+            partials.begin(), partials.end(),
+            [](const core::ProbeResult &p) { return p.has_value(); }));
         merge_span.arg("partials",
-                       static_cast<std::uint64_t>(partials.size()));
-        merged = vecstore::mergeHitLists(partials, k);
+                       static_cast<std::uint64_t>(
+                           deep_ok + (deep_ok < deep ? ranked.size() : 0)));
+        merged = core::SearchPlan::merge(std::move(partials),
+                                         std::move(samples), k);
     }
     h_merge_phase_.observe(phase_timer.elapsedMicros());
     query_span.arg("deep_clusters",

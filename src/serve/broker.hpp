@@ -4,15 +4,18 @@
  *
  * Owns a fleet of NodeClients — in-process RetrievalNode workers or
  * RemoteNodeClients speaking the framed protocol to hermes_shard
- * processes — and executes the hierarchical search protocol across
- * them:
+ * processes — and executes core::SearchPlan, the hierarchical search
+ * protocol, across them:
  *   1. broadcast a cheap sampling request to every cluster (in parallel),
- *   2. rank clusters by their best sampled document,
- *   3. send deep-search requests to the top clusters (in parallel),
- *   4. merge, dedupe and truncate to the final top-k.
+ *   2. rank clusters by their best sampled document (SearchPlan::rank),
+ *   3. send deep-search requests to the deep set (SearchPlan::deepSet,
+ *      in parallel),
+ *   4. merge, dedupe and truncate to the final top-k (SearchPlan::merge).
  *
- * On a fault-free run, results are bit-identical to core::HermesSearch on
- * the same store; the broker adds the concurrency and queueing of a real
+ * The plan decides what to compute; the broker only decides where and
+ * when each probe runs. core::HermesSearch runs the same plan over direct
+ * index calls, so on a fault-free run the results are bit-identical by
+ * construction; the broker adds the concurrency and queueing of a real
  * deployment.
  *
  * Skew mitigation (paper §6 turned from observation into action): a
@@ -42,10 +45,11 @@
  *
  * Fault model: a node that times out or throws is logged and counted
  * (BrokerStats::timeouts / failures); with replicas, failover rotates
- * to the next replica so a dead node's traffic drains to its peers. The
- * query degrades gracefully by merging whatever partial results
- * arrived — padded with the sampling hits when a deep node was lost —
- * and only returns fewer than k hits when every deep node failed
+ * to the next replica so a dead node's traffic drains to its peers. A
+ * lost probe reaches the plan as std::nullopt, and the query degrades
+ * by SearchPlan's rules: merge whatever partial results arrived —
+ * padded with the sampling hits when a deep node was lost — and return
+ * fewer than k hits only when every deep node failed
  * (BrokerStats::degraded_queries observes all such queries).
  */
 
@@ -58,6 +62,7 @@
 #include <vector>
 
 #include "core/distributed_store.hpp"
+#include "core/search_strategy.hpp"
 #include "obs/obs.hpp"
 #include "serve/load_report.hpp"
 #include "serve/node.hpp"
@@ -349,13 +354,21 @@ class HermesBroker
                            std::size_t k, const index::SearchParams &params,
                            ProbeCounters &counters) const;
 
-    /** Build topology_/node_clusters_ from @p map (constructors). */
-    void initTopology(const ReplicaMap &map);
-
-    /** Shared tail of both constructors (registry counters). */
-    void initCounters();
+    /**
+     * One phase of the plan: submit a probe for each of @p clusters, then
+     * await them in cluster order through awaitProbe. @p sample selects
+     * the request counter and records probe latency for the hedge
+     * trigger. Entry i is std::nullopt when clusters[i]'s probe was lost.
+     */
+    std::vector<core::ProbeResult>
+    probeClusters(const Topology &topology,
+                  const std::vector<std::uint32_t> &clusters, bool sample,
+                  vecstore::VecView query, std::size_t k,
+                  const index::SearchParams &params, double hedge_trigger_us,
+                  ProbeCounters &counters) const;
 
     core::HermesConfig hermes_config_;
+    core::SearchPlan plan_;
     BrokerConfig config_;
 
     /** Shard source for autoReplicate(); null for node-list brokers. */

@@ -19,6 +19,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -127,6 +128,19 @@ concat(Args &&...args)
     do {                                                                      \
     } while (0)
 #endif
+
+/**
+ * Precondition that a caller's input can break (a config value, a corpus
+ * too small for the requested geometry): throw std::invalid_argument
+ * with context. Binaries map it to a clean exit 1 (core::loadOrFatal).
+ */
+#define HERMES_REQUIRE(cond, ...)                                             \
+    do {                                                                      \
+        if (!(cond)) {                                                        \
+            throw std::invalid_argument(                                      \
+                ::hermes::util::detail::concat(__VA_ARGS__));                 \
+        }                                                                     \
+    } while (0)
 
 /** Cheap always-on assertion that panics with context on failure. */
 #define HERMES_ASSERT(cond, ...)                                              \

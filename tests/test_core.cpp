@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/distributed_store.hpp"
 #include "core/rerank.hpp"
@@ -99,16 +102,30 @@ TEST(DistributedStore, CentroidsMatchClusterCount)
     EXPECT_GT(data.store->memoryBytes(), 0u);
 }
 
+/** The std::invalid_argument message @p config.validate() throws. */
+std::string
+validateError(const HermesConfig &config)
+{
+    try {
+        config.validate();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "(no throw)";
+}
+
 TEST(HermesConfigValidate, RejectsBadConfigs)
 {
     HermesConfig bad;
     bad.clusters_to_search = 20;
     bad.num_clusters = 10;
-    EXPECT_DEATH(bad.validate(), "clusters_to_search");
+    EXPECT_NE(validateError(bad).find("clusters_to_search"),
+              std::string::npos);
 
     HermesConfig zero_docs;
     zero_docs.docs_to_retrieve = 0;
-    EXPECT_DEATH(zero_docs.validate(), "docs_to_retrieve");
+    EXPECT_NE(validateError(zero_docs).find("docs_to_retrieve"),
+              std::string::npos);
 }
 
 TEST(NaiveSplit, MatchesMonolithicQuality)
@@ -166,6 +183,64 @@ TEST(DeepClusterCount, EdgesOfThePlan)
     EXPECT_EQ(deepClusterCount(ranked, 10, 0.01), 1u);
     // ... and never below one, even when nothing asked for is kept.
     EXPECT_EQ(deepClusterCount(ranked, 0, 0.1), 1u);
+}
+
+/** A one-cluster probe result: hits (id, score), best first. */
+ProbeResult
+hits(std::initializer_list<vecstore::Hit> list)
+{
+    return vecstore::HitList(list);
+}
+
+TEST(SearchPlan, RankSkipsLostClustersAndPutsEmptyListsLast)
+{
+    // Cluster 1's sample was lost; cluster 3 sampled nothing.
+    const std::vector<ProbeResult> samples{
+        hits({{10, 2.0f}}), std::nullopt, hits({{20, 0.5f}, {21, 0.7f}}),
+        hits({})};
+    const RankedClusters ranked = SearchPlan::rank(samples);
+    const RankedClusters expected{
+        {0.5f, 2}, {2.0f, 0}, {std::numeric_limits<float>::max(), 3}};
+    EXPECT_EQ(ranked, expected);
+}
+
+TEST(SearchPlan, DeepSetFallsBackToIdOrderWhenEverySampleIsLost)
+{
+    const SearchPlan plan{3, 0.0};
+    const std::vector<ProbeResult> lost(5);
+    EXPECT_EQ(plan.deepSet(SearchPlan::rank(lost), 5),
+              (std::vector<std::uint32_t>{0, 1, 2}));
+    // Never more clusters than exist, and pruning does not apply.
+    EXPECT_EQ(plan.deepSet({}, 2), (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ((SearchPlan{3, 0.1}.deepSet({}, 5)),
+              (std::vector<std::uint32_t>{0, 1, 2}));
+
+    // Anything ranked is taken best first instead, pruned as configured.
+    EXPECT_EQ(plan.deepSet({{0.5f, 4}, {0.9f, 1}}, 5),
+              (std::vector<std::uint32_t>{4, 1}));
+    EXPECT_EQ((SearchPlan{3, 0.1}.deepSet({{0.5f, 4}, {0.9f, 1}}, 5)),
+              (std::vector<std::uint32_t>{4}));
+}
+
+TEST(SearchPlan, MergeBackfillsOnlyWhenADeepPartialIsLost)
+{
+    const std::vector<ProbeResult> samples{hits({{7, 0.1f}}), std::nullopt,
+                                           hits({{8, 0.3f}})};
+
+    // Fault-free: the sample hits never enter the answer.
+    EXPECT_EQ(SearchPlan::merge({hits({{1, 0.2f}, {2, 0.4f}}),
+                                 hits({{3, 0.25f}})},
+                                samples, 5),
+              (vecstore::HitList{{1, 0.2f}, {3, 0.25f}, {2, 0.4f}}));
+
+    // One deep partial lost: the surviving samples backfill.
+    EXPECT_EQ(SearchPlan::merge({hits({{1, 0.2f}, {2, 0.4f}}), std::nullopt},
+                                samples, 3),
+              (vecstore::HitList{{7, 0.1f}, {1, 0.2f}, {8, 0.3f}}));
+
+    // Every deep partial lost and too few samples: fewer than k hits.
+    EXPECT_EQ(SearchPlan::merge({std::nullopt}, samples, 5),
+              (vecstore::HitList{{7, 0.1f}, {8, 0.3f}}));
 }
 
 TEST(Hermes, SampleStatsTouchEveryCluster)

@@ -119,6 +119,9 @@ build(const hermes::util::ArgParser &args)
         // point is the memory ceiling, and the writer's add() still
         // fans encode work across the pool.
         config.validate();
+        HERMES_REQUIRE(data.rows() >= config.num_clusters,
+                       "datastore smaller than cluster count (", data.rows(),
+                       " rows, ", config.num_clusters, " clusters)");
         config.partition.num_partitions = config.num_clusters;
         util::ThreadPool pool;
         auto partition = cluster::partition(data, config.partition, &pool);
@@ -129,8 +132,8 @@ build(const hermes::util::ArgParser &args)
         std::uintmax_t index_bytes = 0;
         for (std::size_t c = 0; c < config.num_clusters; ++c) {
             const auto &members = partition.members[c];
-            HERMES_ASSERT(!members.empty(),
-                          "partitioning produced empty cluster ", c);
+            HERMES_REQUIRE(!members.empty(),
+                           "partitioning produced empty cluster ", c);
 
             // Identical config + seed to DistributedStore::build, so
             // the streamed file is byte-identical to the in-memory
