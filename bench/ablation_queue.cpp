@@ -20,11 +20,11 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <thread>
 
 #include "core/search_strategy.hpp"
+#include "obs/metrics.hpp"
 #include "serve/broker.hpp"
 #include "serve/node_client.hpp"
 #include "sim/pipeline.hpp"
@@ -46,24 +46,6 @@ serviceModel(sim::RetrievalMode mode, double tokens)
         config.retrieval = mode;
         return sim::RagPipelineSim(config).run().ttft;
     };
-}
-
-/** Parse a comma-separated list of positive integers. */
-std::vector<std::size_t>
-parseList(const std::string &spec)
-{
-    std::vector<std::size_t> values;
-    std::size_t begin = 0;
-    while (begin <= spec.size()) {
-        std::size_t end = spec.find(',', begin);
-        if (end == std::string::npos)
-            end = spec.size();
-        std::string token = spec.substr(begin, end - begin);
-        if (!token.empty())
-            values.push_back(std::strtoul(token.c_str(), nullptr, 10));
-        begin = end + 1;
-    }
-    return values;
 }
 
 double
@@ -115,14 +97,13 @@ runLiveSweep(const std::vector<std::size_t> &caps, double window_us,
                   "p99 (us)"});
     for (std::size_t cap : caps) {
         serve::BrokerConfig broker_config;
-        broker_config.node.max_batch = std::max<std::size_t>(cap, 1);
+        broker_config.node.max_batch = cap;
         // cap 1 is the no-batching baseline; give it window 0 so it is
         // exactly the seed drain loop, not a pointless wait.
         broker_config.node.batch_window_us = cap > 1 ? window_us : 0.0;
-        serve::HermesBroker broker(store, broker_config);
+        obs::Registry metrics; // each sweep point counts on its own
+        serve::HermesBroker broker(store, broker_config, metrics);
 
-        // Client-side latency capture: broker.stats() histograms are
-        // process-wide and would accumulate across sweep points.
         std::vector<std::vector<double>> latency_us(clients);
         util::Timer wall;
         std::vector<std::thread> threads;
@@ -268,7 +249,10 @@ runReplicationSweep(std::size_t num_docs, std::size_t dim,
         // Hedging is gated on a finite node deadline (a hedge must fire
         // strictly before it); generous enough to never time a probe out.
         broker_config.node_deadline_ms = 5000.0;
-        serve::HermesBroker broker(store, broker_config);
+        // A fresh registry per row: the hedge trigger warms up on this
+        // row's probes only, not on the rows that ran before it.
+        obs::Registry metrics;
+        serve::HermesBroker broker(store, broker_config, metrics);
         if (sweep.replicate) {
             serve::NodeConfig clean;
             clean.node_id = broker.numNodes();
@@ -361,6 +345,14 @@ main(int argc, char **argv)
                  "power-of-two-choices vs R=2 + hedged sample probes "
                  "over the same Zipfian load");
     args.parse(argc, argv);
+    std::vector<std::size_t> caps;
+    for (const std::string &cap : args.getList("max-batch")) {
+        std::size_t value = 0;
+        if (!util::parseInt(cap, value) || value < 1)
+            args.fail("flag --max-batch expects integers >= 1, got '" +
+                      cap + "'");
+        caps.push_back(value);
+    }
     bench::banner(
         "Ablation", "Serving QoS: tail TTFT under Poisson load",
         "production systems care about TTFT distribution, not means "
@@ -400,7 +392,6 @@ main(int argc, char **argv)
                 "optimizing TTFT itself rather than only steady-state "
                 "throughput.\n\n");
 
-    auto caps = parseList(args.get("max-batch"));
     if (!caps.empty()) {
         runLiveSweep(caps, args.getDouble("window-us"),
                      static_cast<std::size_t>(args.getInt("docs")),

@@ -87,8 +87,20 @@
 #include <thread>
 #include <vector>
 
-#include "hermes/hermes.hpp"
+#include "core/config.hpp"
+#include "core/distributed_store.hpp"
+#include "core/manifest.hpp"
+#include "obs/exporter.hpp"
+#include "obs/obs.hpp"
+#include "obs/perf.hpp"
+#include "serve/broker.hpp"
+#include "serve/remote_node.hpp"
+#include "serve/replica_map.hpp"
+#include "serve/rpc.hpp"
 #include "util/argparse.hpp"
+#include "util/logging.hpp"
+#include "util/timer.hpp"
+#include "workload/corpus.hpp"
 
 int
 main(int argc, char **argv)

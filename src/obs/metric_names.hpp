@@ -60,6 +60,7 @@ inline constexpr const char *kNodeQueueWaitUs = "node.queue_wait_us";
 inline constexpr const char *kNodeBatchExecUs = "node.batch_exec_us";
 
 // --- node, per-cluster suffixes (use nodeMetric()) -----------------------
+// The first three are counted by the broker, in its own registry.
 inline constexpr const char *kNodeSampleRequests = "sample_requests";
 inline constexpr const char *kNodeDeepRequests = "deep_requests";
 inline constexpr const char *kNodeHitsReturned = "hits_returned";

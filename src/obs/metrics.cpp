@@ -159,6 +159,8 @@ Registry::instance()
     return *registry;
 }
 
+Registry::Registry() = default;
+
 Registry::~Registry() = default;
 
 Counter &

@@ -1,7 +1,7 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges and log-spaced
- * latency histograms with cheap thread-safe updates.
+ * Metrics registry: named counters, gauges and log-spaced latency
+ * histograms with cheap thread-safe updates.
  *
  * The registry is the always-on half of the observability subsystem
  * (obs/trace.hpp is the opt-in half). Every update is a handful of
@@ -165,13 +165,15 @@ class WindowedCounter;
 class WindowedHistogram;
 
 /**
- * Process-wide registry of named metrics.
+ * Registry of named metrics.
  *
- * Metrics are created on first lookup and never destroyed, so the
- * returned references are stable for the life of the process — cache
- * them (e.g. in a function-local static) on hot paths to skip the
- * name lookup. reset() zeroes values in place without invalidating
- * references (tests rely on this).
+ * instance() is the process registry that the tools export; a
+ * component that must count on its own (a broker in a test or a sweep)
+ * is handed a registry of its own. Metrics are created on first lookup
+ * and live as long as their registry, so the returned references are
+ * stable — resolve them once and skip the name lookup on hot paths.
+ * reset() zeroes values in place without invalidating references
+ * (tests rely on this).
  *
  * Naming convention: `<layer>.<operation>[_us]`, e.g.
  * `broker.query_latency_us`, `node.queue_wait_us`, `ivf.scan_us`
@@ -180,8 +182,14 @@ class WindowedHistogram;
 class Registry
 {
   public:
-    /** The process-wide instance. */
+    /** The process-wide instance (never destroyed). */
     static Registry &instance();
+
+    Registry();
+    ~Registry(); // defined in metrics.cpp where window types are complete
+
+    Registry(const Registry &) = delete;
+    Registry &operator=(const Registry &) = delete;
 
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
@@ -233,9 +241,6 @@ class Registry
     void reset();
 
   private:
-    Registry() = default;
-    ~Registry(); // defined in metrics.cpp where window types are complete
-
     /** Lookup helpers that assume mutex_ is already held. */
     Counter &counterLocked(const std::string &name);
     Histogram &histogramLocked(const std::string &name);

@@ -138,17 +138,17 @@ std::atomic<std::uint64_t> AdcDistance::next_id_{1};
 PqCodec::PqCodec(std::size_t dim, std::size_t m)
     : dim_(dim), m_(m), dsub_(m ? dim / m : 0)
 {
-    HERMES_ASSERT(m_ > 0, "PQ needs at least one subquantizer");
-    HERMES_ASSERT(dim_ % m_ == 0, "PQ subquantizers (", m_,
-                  ") must divide dim (", dim_, ")");
+    HERMES_REQUIRE(m_ > 0, "PQ needs at least one subquantizer");
+    HERMES_REQUIRE(dim_ % m_ == 0, "PQ subquantizers (", m_,
+                   ") must divide dim (", dim_, ")");
 }
 
 void
 PqCodec::train(const vecstore::Matrix &data)
 {
     HERMES_ASSERT(data.dim() == dim_, "train dim mismatch");
-    HERMES_ASSERT(data.rows() >= kSubCodebookSize,
-                  "PQ training needs >= 256 points, got ", data.rows());
+    HERMES_REQUIRE(data.rows() >= kSubCodebookSize,
+                   "PQ training needs >= 256 points, got ", data.rows());
 
     codebooks_.assign(m_ * kSubCodebookSize * dsub_, 0.f);
 

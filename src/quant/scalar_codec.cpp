@@ -142,7 +142,7 @@ ScalarCodec::ScalarCodec(std::size_t dim, int bits) : dim_(dim), bits_(bits)
                   "ScalarCodec supports 4 or 8 bits, got ", bits_);
     HERMES_ASSERT(dim_ > 0, "ScalarCodec needs dim > 0");
     if (bits_ == 4) {
-        HERMES_ASSERT(dim_ % 2 == 0, "SQ4 requires even dim, got ", dim_);
+        HERMES_REQUIRE(dim_ % 2 == 0, "SQ4 requires even dim, got ", dim_);
     }
 }
 

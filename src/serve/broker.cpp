@@ -68,9 +68,10 @@ identityPlacement(BrokerConfig config)
 } // namespace
 
 HermesBroker::HermesBroker(const core::DistributedStore &store,
-                           const BrokerConfig &config)
+                           const BrokerConfig &config,
+                           obs::Registry &metrics)
     : HermesBroker(store.config(), localFleet(store, config),
-                   identityPlacement(config))
+                   identityPlacement(config), metrics)
 {
     store_ = &store;
     // Static replication: extra LocalNodeClients over the same immutable
@@ -86,24 +87,30 @@ HermesBroker::HermesBroker(const core::DistributedStore &store,
 
 HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
                            std::vector<std::unique_ptr<NodeClient>> nodes,
-                           const BrokerConfig &config)
+                           const BrokerConfig &config,
+                           obs::Registry &metrics)
     : hermes_config_(hermes_config),
       plan_{hermes_config.clusters_to_search,
             hermes_config.adaptive_epsilon},
       config_(config),
       nodes_(std::move(nodes)),
-      h_query_latency_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerQueryLatencyUs)),
-      h_sample_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerSamplePhaseUs)),
-      h_deep_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerDeepPhaseUs)),
-      h_merge_phase_(obs::Registry::instance().histogram(
-          obs::names::kBrokerMergePhaseUs)),
-      c_queries_(obs::Registry::instance().windowedCounter(
-          obs::names::kBrokerQueries)),
-      h_sample_probe_us_(obs::Registry::instance().windowedHistogram(
-          obs::names::kBrokerSampleProbeUs)),
+      metrics_(metrics),
+      h_query_latency_(
+          metrics.windowedHistogram(obs::names::kBrokerQueryLatencyUs)),
+      h_sample_phase_(metrics.histogram(obs::names::kBrokerSamplePhaseUs)),
+      h_deep_phase_(metrics.histogram(obs::names::kBrokerDeepPhaseUs)),
+      h_merge_phase_(metrics.histogram(obs::names::kBrokerMergePhaseUs)),
+      h_sample_probe_us_(
+          metrics.windowedHistogram(obs::names::kBrokerSampleProbeUs)),
+      c_queries_(metrics.windowedCounter(obs::names::kBrokerQueries)),
+      c_deep_requests_(metrics.counter(obs::names::kBrokerDeepRequests)),
+      c_timeouts_(metrics.counter(obs::names::kBrokerTimeouts)),
+      c_failures_(metrics.counter(obs::names::kBrokerFailures)),
+      c_degraded_queries_(
+          metrics.counter(obs::names::kBrokerDegradedQueries)),
+      c_hedges_issued_(metrics.counter(obs::names::kBrokerHedgesIssued)),
+      c_hedges_won_(metrics.counter(obs::names::kBrokerHedgesWon)),
+      c_hedges_wasted_(metrics.counter(obs::names::kBrokerHedgesWasted)),
       start_time_(Clock::now())
 {
     HERMES_ASSERT(!nodes_.empty(), "broker needs at least one node");
@@ -118,7 +125,6 @@ HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
     const ReplicaMap map = config_.replica_map.empty()
         ? ReplicaMap::identity(nodes_.size())
         : config_.replica_map;
-    auto &registry = obs::Registry::instance();
     topology_.resize(map.numClusters());
     node_clusters_.assign(nodes_.size(), 0);
     cluster_counters_.reserve(map.numClusters());
@@ -129,15 +135,15 @@ HermesBroker::HermesBroker(const core::HermesConfig &hermes_config,
             std::uint32_t node = replicas[slot];
             topology_[c].push_back(ReplicaSlot{
                 nodes_[node].get(), node,
-                &registry.counter(obs::names::routeMetric(c, slot))});
+                &metrics_.counter(obs::names::routeMetric(c, slot))});
             node_clusters_[node] = static_cast<std::uint32_t>(c);
         }
         cluster_counters_.push_back(ClusterCounters{
-            registry.counter(obs::names::nodeMetric(
+            metrics_.counter(obs::names::nodeMetric(
                 c, obs::names::kNodeSampleRequests)),
-            registry.counter(obs::names::nodeMetric(
+            metrics_.counter(obs::names::nodeMetric(
                 c, obs::names::kNodeDeepRequests)),
-            registry.counter(obs::names::nodeMetric(
+            metrics_.counter(obs::names::nodeMetric(
                 c, obs::names::kNodeHitsReturned)),
         });
     }
@@ -149,7 +155,6 @@ void
 HermesBroker::addReplica(std::uint32_t cluster,
                          std::unique_ptr<NodeClient> node)
 {
-    auto &registry = obs::Registry::instance();
     std::unique_lock<std::shared_mutex> lock(topology_mutex_);
     HERMES_ASSERT(cluster < topology_.size(),
                   "addReplica: cluster out of range");
@@ -160,7 +165,7 @@ HermesBroker::addReplica(std::uint32_t cluster,
     node_clusters_.push_back(cluster);
     topology_[cluster].push_back(ReplicaSlot{
         nodes_.back().get(), node_index,
-        &registry.counter(obs::names::routeMetric(cluster, slot))});
+        &metrics_.counter(obs::names::routeMetric(cluster, slot))});
     HERMES_INFORM("cluster ", cluster, " now served by ",
                 topology_[cluster].size(), " replicas (node ", node_index,
                 " attached)");
@@ -517,54 +522,21 @@ HermesBroker::search(vecstore::VecView query, std::size_t k,
                      " deep clusters");
     }
 
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        ++queries_;
-        deep_requests_ += deep;
-        timeouts_ += counters.timeouts;
-        failures_ += counters.failures;
-        if (degraded)
-            ++degraded_queries_;
-        hedges_issued_ += counters.hedges_issued;
-        hedges_won_ += counters.hedges_won;
-        hedges_wasted_ += counters.hedges_wasted;
-    }
-
-    // Mirror the lifetime counters into the exportable registry. The
-    // query counter is windowed so /load can report a rolling QPS.
-    {
-        static obs::Counter &c_deep = obs::Registry::instance().counter(
-            obs::names::kBrokerDeepRequests);
-        static obs::Counter &c_timeouts = obs::Registry::instance().counter(
-            obs::names::kBrokerTimeouts);
-        static obs::Counter &c_failures = obs::Registry::instance().counter(
-            obs::names::kBrokerFailures);
-        static obs::Counter &c_degraded = obs::Registry::instance().counter(
-            obs::names::kBrokerDegradedQueries);
-        static obs::Counter &c_hedges_issued =
-            obs::Registry::instance().counter(
-                obs::names::kBrokerHedgesIssued);
-        static obs::Counter &c_hedges_won =
-            obs::Registry::instance().counter(
-                obs::names::kBrokerHedgesWon);
-        static obs::Counter &c_hedges_wasted =
-            obs::Registry::instance().counter(
-                obs::names::kBrokerHedgesWasted);
-        c_queries_.add(1);
-        c_deep.add(deep);
-        if (counters.timeouts)
-            c_timeouts.add(counters.timeouts);
-        if (counters.failures)
-            c_failures.add(counters.failures);
-        if (degraded)
-            c_degraded.add(1);
-        if (counters.hedges_issued)
-            c_hedges_issued.add(counters.hedges_issued);
-        if (counters.hedges_won)
-            c_hedges_won.add(counters.hedges_won);
-        if (counters.hedges_wasted)
-            c_hedges_wasted.add(counters.hedges_wasted);
-    }
+    // The query counter is windowed so /load can report a rolling QPS.
+    c_queries_.add(1);
+    c_deep_requests_.add(deep);
+    if (counters.timeouts)
+        c_timeouts_.add(counters.timeouts);
+    if (counters.failures)
+        c_failures_.add(counters.failures);
+    if (degraded)
+        c_degraded_queries_.add(1);
+    if (counters.hedges_issued)
+        c_hedges_issued_.add(counters.hedges_issued);
+    if (counters.hedges_won)
+        c_hedges_won_.add(counters.hedges_won);
+    if (counters.hedges_wasted)
+        c_hedges_wasted_.add(counters.hedges_wasted);
 
     phase_timer.reset();
     vecstore::HitList merged;
@@ -592,17 +564,14 @@ BrokerStats
 HermesBroker::stats() const
 {
     BrokerStats stats;
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        stats.queries = queries_;
-        stats.deep_requests = deep_requests_;
-        stats.timeouts = timeouts_;
-        stats.failures = failures_;
-        stats.degraded_queries = degraded_queries_;
-        stats.hedges_issued = hedges_issued_;
-        stats.hedges_won = hedges_won_;
-        stats.hedges_wasted = hedges_wasted_;
-    }
+    stats.queries = c_queries_.value();
+    stats.deep_requests = c_deep_requests_.value();
+    stats.timeouts = c_timeouts_.value();
+    stats.failures = c_failures_.value();
+    stats.degraded_queries = c_degraded_queries_.value();
+    stats.hedges_issued = c_hedges_issued_.value();
+    stats.hedges_won = c_hedges_won_.value();
+    stats.hedges_wasted = c_hedges_wasted_.value();
     stats.query_latency =
         obs::LatencySummary::from(h_query_latency_.cumulative().snapshot());
     stats.sample_phase =
@@ -627,16 +596,13 @@ HermesBroker::loadReport(std::size_t window_s) const
     LoadReport report;
     report.uptime_seconds = std::chrono::duration<double>(
         Clock::now() - start_time_).count();
-    {
-        std::unique_lock<std::mutex> lock(stats_mutex_);
-        report.queries = queries_;
-        report.timeouts = timeouts_;
-        report.failures = failures_;
-        report.degraded_queries = degraded_queries_;
-        report.hedges_issued = hedges_issued_;
-        report.hedges_won = hedges_won_;
-        report.hedges_wasted = hedges_wasted_;
-    }
+    report.queries = c_queries_.value();
+    report.timeouts = c_timeouts_.value();
+    report.failures = c_failures_.value();
+    report.degraded_queries = c_degraded_queries_.value();
+    report.hedges_issued = c_hedges_issued_.value();
+    report.hedges_won = c_hedges_won_.value();
+    report.hedges_wasted = c_hedges_wasted_.value();
 
     report.window_seconds = static_cast<double>(window_s);
     report.window_qps = c_queries_.ratePerSecond(window_s);
@@ -732,8 +698,7 @@ HermesBroker::loadReport(std::size_t window_s) const
             rapl.package_joules > 0.0) {
             report.energy_model_error_ratio =
                 rapl.package_joules / report.total_energy_joules;
-            obs::Registry::instance()
-                .gauge(obs::names::kEnergyModelErrorRatio)
+            metrics_.gauge(obs::names::kEnergyModelErrorRatio)
                 .set(report.energy_model_error_ratio);
         }
     }

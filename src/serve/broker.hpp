@@ -150,7 +150,12 @@ struct BrokerConfig
     HedgeConfig hedge;
 };
 
-/** Aggregate serving statistics. */
+/**
+ * Aggregate serving statistics. Every count and latency digest is read
+ * back from the obs::Registry the broker was built with: a broker given
+ * a registry of its own reports exactly its own traffic, while brokers
+ * sharing one (the process registry, the default) share its counts.
+ */
 struct BrokerStats
 {
     /** Queries served end-to-end. */
@@ -176,12 +181,8 @@ struct BrokerStats
     std::uint64_t hedges_won = 0;
     std::uint64_t hedges_wasted = 0;
 
-    /**
-     * Latency digests sourced from the process-wide obs histograms
-     * (`broker.query_latency_us` and friends). Note these aggregate
-     * over every broker in the process — with a single broker, which
-     * is the deployment shape, they are exactly this broker's.
-     */
+    /** Latency digests of the registry's `broker.query_latency_us`
+     *  and phase histograms. */
     obs::LatencySummary query_latency;   ///< end-to-end search()
     obs::LatencySummary sample_phase;    ///< sampling broadcast + collect
     obs::LatencySummary deep_phase;      ///< deep fan-out + collect
@@ -204,9 +205,12 @@ class HermesBroker
      *               serve (must outlive the broker).
      * @param config Broker parameters; config.replicate adds extra
      *               in-process replicas over the same shard indices.
+     * @param metrics Registry the broker counts into and stats() /
+     *               loadReport() read back (must outlive the broker).
      */
-    explicit HermesBroker(const core::DistributedStore &store,
-                          const BrokerConfig &config = {});
+    explicit HermesBroker(
+        const core::DistributedStore &store, const BrokerConfig &config = {},
+        obs::Registry &metrics = obs::Registry::instance());
 
     /**
      * Placement-agnostic constructor: NodeClients assigned to clusters
@@ -220,10 +224,12 @@ class HermesBroker
      *                      depths, clusters_to_search, ...). Must match
      *                      what the shards were built with for results
      *                      to mean anything.
+     * @param metrics       As for the store-backed constructor.
      */
     HermesBroker(const core::HermesConfig &hermes_config,
                  std::vector<std::unique_ptr<NodeClient>> nodes,
-                 const BrokerConfig &config = {});
+                 const BrokerConfig &config = {},
+                 obs::Registry &metrics = obs::Registry::instance());
 
     ~HermesBroker();
 
@@ -264,7 +270,11 @@ class HermesBroker
     /** Replicas currently serving @p cluster. */
     std::size_t replicaCount(std::uint32_t cluster) const;
 
-    /** Snapshot of serving statistics. */
+    /**
+     * Snapshot of serving statistics. Counters are read without
+     * stopping search(): each field is exact, but under concurrent
+     * queries the fields are not one point-in-time cut.
+     */
     BrokerStats stats() const;
 
     /**
@@ -316,7 +326,8 @@ class HermesBroker
         std::chrono::steady_clock::time_point submitted; ///< deadline anchor
     };
 
-    /** One query's fault and hedge tallies (see BrokerStats). */
+    /** One query's fault and hedge tallies (see BrokerStats), added to
+     *  the registry once the query's probes are done. */
     struct ProbeCounters
     {
         std::uint64_t timeouts = 0;
@@ -385,16 +396,26 @@ class HermesBroker
     std::vector<std::uint32_t> node_clusters_;
     mutable std::shared_mutex topology_mutex_;
 
-    /** Cached refs into the process-wide metrics registry (stable).
+    /** The registry every metric below lives in: each event is
+     *  counted once, there, and stats()/loadReport() read it back.
      *  Query latency and query count carry rolling windows so the live
      *  endpoints can report last-N-seconds QPS/percentiles; the
-     *  per-probe histogram feeds the hedge trigger. */
+     *  per-probe histogram feeds the hedge trigger. The nodes count
+     *  their own work (NodeStats) and are not part of this set. */
+    obs::Registry &metrics_;
     obs::WindowedHistogram &h_query_latency_;
     obs::Histogram &h_sample_phase_;
     obs::Histogram &h_deep_phase_;
     obs::Histogram &h_merge_phase_;
-    obs::WindowedCounter &c_queries_;
     obs::WindowedHistogram &h_sample_probe_us_;
+    obs::WindowedCounter &c_queries_;
+    obs::Counter &c_deep_requests_;
+    obs::Counter &c_timeouts_;
+    obs::Counter &c_failures_;
+    obs::Counter &c_degraded_queries_;
+    obs::Counter &c_hedges_issued_;
+    obs::Counter &c_hedges_won_;
+    obs::Counter &c_hedges_wasted_;
 
     /** Per-cluster request accounting (index = cluster id). */
     struct ClusterCounters
@@ -407,16 +428,6 @@ class HermesBroker
 
     /** Construction time, for uptime/utilization in loadReport(). */
     std::chrono::steady_clock::time_point start_time_;
-
-    mutable std::mutex stats_mutex_;
-    mutable std::uint64_t queries_ = 0;
-    mutable std::uint64_t deep_requests_ = 0;
-    mutable std::uint64_t timeouts_ = 0;
-    mutable std::uint64_t failures_ = 0;
-    mutable std::uint64_t degraded_queries_ = 0;
-    mutable std::uint64_t hedges_issued_ = 0;
-    mutable std::uint64_t hedges_won_ = 0;
-    mutable std::uint64_t hedges_wasted_ = 0;
 };
 
 } // namespace serve

@@ -298,7 +298,8 @@ TEST(HermesBrokerFaults, SingleFailedNodeDegradesGracefully)
     serve::BrokerConfig config;
     config.node_faults.resize(1);
     config.node_faults[0].fail_probability = 1.0;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
 
     double ndcg_sum = 0.0;
     for (std::size_t q = 0; q < 16; ++q) {
@@ -327,7 +328,8 @@ TEST(HermesBrokerFaults, DeadNodeTimesOutInsteadOfHanging)
     config.node_faults.resize(3);
     config.node_faults[2].drop_probability = 1.0; // node 2 is dead
 
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
     for (std::size_t q = 0; q < 4; ++q) {
         auto hits = broker.search(data.queries.embeddings.row(q), 5);
         EXPECT_EQ(hits.size(), 5u) << "query " << q;
@@ -353,7 +355,8 @@ TEST(HermesBrokerFaults, DeadSampleProbesShareOneDeadline)
     config.node_faults.resize(2);
     config.node_faults[0].drop_probability = 1.0;
     config.node_faults[1].drop_probability = 1.0;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
 
     const auto start = std::chrono::steady_clock::now();
     auto hits = broker.search(data.queries.embeddings.row(0), 5);
@@ -373,7 +376,8 @@ TEST(HermesBrokerFaults, AllNodesFailingReturnsEmptyNotCrash)
 
     serve::BrokerConfig config;
     config.node.faults.fail_probability = 1.0;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
 
     auto hits = broker.search(data.queries.embeddings.row(0), 5);
     EXPECT_TRUE(hits.empty());
@@ -391,7 +395,8 @@ TEST(HermesBrokerFaults, RandomFaultsEverywhereStillServeTopK)
     config.node.faults.fail_probability = 0.1;
     config.node.faults.delay_probability = 0.2;
     config.node.faults.delay_ms = 1.0;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
 
     for (std::size_t q = 0; q < 16; ++q) {
         auto hits = broker.search(data.queries.embeddings.row(q), 5);

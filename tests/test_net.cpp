@@ -772,7 +772,9 @@ TEST(ShardRpc, BrokerBitParityInProcessVsRemote)
     }
 
     serve::HermesBroker local(*data.store, {});
-    serve::HermesBroker remote(data.config, std::move(remotes), {});
+    obs::Registry metrics;
+    serve::HermesBroker remote(data.config, std::move(remotes), {},
+                               metrics);
 
     for (std::size_t q = 0; q < 16; ++q) {
         auto query = data.queries.embeddings.row(q);
@@ -824,7 +826,8 @@ TEST(ShardRpc, ReplicatedRemoteBrokerParityAndFailover)
     bc.max_retries = 1;
     bc.hedge.min_samples = 4;
     serve::HermesBroker local(*data.store, {});
-    serve::HermesBroker remote(data.config, std::move(remotes), bc);
+    obs::Registry metrics;
+    serve::HermesBroker remote(data.config, std::move(remotes), bc, metrics);
 
     auto expectParity = [&](std::size_t q) {
         auto query = data.queries.embeddings.row(q);

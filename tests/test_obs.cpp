@@ -840,7 +840,8 @@ TEST(ServeLoadReport, FitZipfExponentRecoversSlope)
 TEST(ServeLoadReport, BrokerLoadReportAccountsTraffic)
 {
     const auto &data = obsServeData();
-    serve::HermesBroker broker(*data.store);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, {}, metrics);
 
     // Repeat one query: its deep clusters take all the skewed load.
     constexpr std::size_t kQueries = 12;
@@ -852,8 +853,8 @@ TEST(ServeLoadReport, BrokerLoadReportAccountsTraffic)
     EXPECT_GT(report.uptime_seconds, 0.0);
     ASSERT_EQ(report.clusters.size(), data.store->numClusters());
 
-    // Per-cluster counters are process-wide (other tests also serve
-    // this 4-cluster store), so assert floors, not exact counts.
+    // The broker counts into its own registry, so the per-cluster
+    // totals are exactly this test's traffic.
     std::uint64_t sample_total = 0;
     std::uint64_t deep_total = 0;
     for (const auto &cluster : report.clusters) {
@@ -863,8 +864,8 @@ TEST(ServeLoadReport, BrokerLoadReportAccountsTraffic)
         EXPECT_GT(cluster.energy_joules, 0.0);
         EXPECT_GE(cluster.utilization, 0.0);
     }
-    EXPECT_GE(sample_total, kQueries * data.store->numClusters());
-    EXPECT_GE(deep_total, kQueries * data.config.clusters_to_search);
+    EXPECT_EQ(sample_total, kQueries * data.store->numClusters());
+    EXPECT_EQ(deep_total, kQueries * data.config.clusters_to_search);
     EXPECT_GT(report.total_energy_joules, 0.0);
 
     // One repeated query concentrates deep load: max/mean must exceed
@@ -894,7 +895,8 @@ TEST(ServeLoadReport, BrokerLoadReportAccountsTraffic)
 TEST(ServeLoadReport, CumulativeCountersAreMonotoneAcrossReports)
 {
     const auto &data = obsServeData();
-    serve::HermesBroker broker(*data.store);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, {}, metrics);
 
     broker.search(data.queries.embeddings.row(1), 5);
     auto first = broker.loadReport();

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "cluster/kmeans.hpp"
 #include "cluster/partitioner.hpp"
@@ -167,7 +168,13 @@ TEST(Robustness, UnknownCodecSpecIsFatal)
 
 TEST(Robustness, PqMustDivideDim)
 {
-    EXPECT_DEATH((void)quant::makeCodec("PQ3", 8), "divide");
+    EXPECT_THROW((void)quant::makeCodec("PQ3", 8), std::invalid_argument);
+    try {
+        (void)quant::makeCodec("PQ3", 8);
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("divide"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Robustness, UnknownIndexSpecIsFatal)

@@ -151,7 +151,8 @@ TEST(HermesBroker, MatchesInProcessHermesSearch)
 TEST(HermesBroker, StatsAccumulate)
 {
     const auto &data = serveData();
-    serve::HermesBroker broker(*data.store);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, {}, metrics);
     for (std::size_t q = 0; q < 10; ++q)
         broker.search(data.queries.embeddings.row(q), 5);
 
@@ -165,10 +166,51 @@ TEST(HermesBroker, StatsAccumulate)
         EXPECT_GE(node.requests, 10u);
 }
 
+TEST(HermesBroker, TwoBrokersKeepIndependentStats)
+{
+    // Two brokers over one store, each counting into its own registry,
+    // serve different query counts: each reports exactly its own.
+    const auto &data = serveData();
+    obs::Registry metrics_a;
+    obs::Registry metrics_b;
+    serve::HermesBroker a(*data.store, {}, metrics_a);
+    serve::HermesBroker b(*data.store, {}, metrics_b);
+    constexpr std::size_t kQueriesA = 5;
+    constexpr std::size_t kQueriesB = 12;
+    for (std::size_t q = 0; q < kQueriesB; ++q) {
+        if (q < kQueriesA)
+            a.search(data.queries.embeddings.row(q), 5);
+        b.search(data.queries.embeddings.row(q), 5);
+    }
+
+    const std::pair<const serve::HermesBroker *, std::size_t> served[] = {
+        {&a, kQueriesA}, {&b, kQueriesB}};
+    for (const auto &[broker, queries] : served) {
+        SCOPED_TRACE(queries);
+        auto stats = broker->stats();
+        EXPECT_EQ(stats.queries, queries);
+        EXPECT_EQ(stats.deep_requests,
+                  queries * data.config.clusters_to_search);
+        EXPECT_EQ(stats.query_latency.count, queries);
+
+        auto load = broker->loadReport();
+        EXPECT_EQ(load.queries, queries);
+        std::uint64_t sample_total = 0;
+        std::uint64_t deep_total = 0;
+        for (const auto &cluster : load.clusters) {
+            sample_total += cluster.sample_requests;
+            deep_total += cluster.deep_requests;
+        }
+        EXPECT_EQ(sample_total, queries * data.store->numClusters());
+        EXPECT_EQ(deep_total, queries * data.config.clusters_to_search);
+    }
+}
+
 TEST(HermesBroker, ConcurrentClientsGetConsistentResults)
 {
     const auto &data = serveData();
-    serve::HermesBroker broker(*data.store);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, {}, metrics);
     core::HermesSearch reference(*data.store);
 
     // Precompute expected results.
@@ -250,7 +292,8 @@ TEST(HermesBroker, MicroBatchingMatchesWindowZeroResults)
     serve::BrokerConfig config;
     config.node.batch_window_us = 500.0;
     config.node.max_batch = 16;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
     core::HermesSearch reference(*data.store);
 
     std::vector<vecstore::HitList> expected;
@@ -297,7 +340,8 @@ TEST(HermesBroker, PathologicalWindowStillHonorsDeadlines)
     config.node.batch_window_us = 400000.0; // 0.4 s hold
     config.node_deadline_ms = 60.0;
     config.max_retries = 0;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
 
     auto hits = broker.search(data.queries.embeddings.row(0), 5);
     auto stats = broker.stats();
@@ -471,7 +515,8 @@ TEST(HermesBroker, HedgeFiresAndMatchesUnhedged)
     config.hedge.min_samples = 4;
     config.hedge.quantile = 50.0;
     config.hedge.min_trigger_us = 1000.0;
-    serve::HermesBroker broker(*data.store, config);
+    obs::Registry metrics;
+    serve::HermesBroker broker(*data.store, config, metrics);
     // The replica must not inherit the delay: attach a clean node.
     serve::NodeConfig clean;
     clean.node_id = broker.numNodes();
@@ -521,7 +566,8 @@ TEST(HermesBroker, DeadReplicaFailsOverToSurvivor)
         config.hedge.enabled = hedged;
         config.hedge.min_samples = 4;
         config.hedge.min_trigger_us = 500.0;
-        serve::HermesBroker broker(*data.store, config);
+        obs::Registry metrics;
+        serve::HermesBroker broker(*data.store, config, metrics);
         serve::NodeConfig clean;
         clean.node_id = broker.numNodes();
         broker.addReplica(0, std::make_unique<serve::LocalNodeClient>(
@@ -614,7 +660,8 @@ TEST(HermesBroker, AdaptiveConfigPrunesDeepRequests)
     config.adaptive_epsilon = 0.05;
     auto store = core::DistributedStore::build(data.corpus.embeddings,
                                                config);
-    serve::HermesBroker broker(store);
+    obs::Registry metrics;
+    serve::HermesBroker broker(store, {}, metrics);
 
     for (std::size_t q = 0; q < 16; ++q)
         broker.search(data.queries.embeddings.row(q), 5);

@@ -61,8 +61,19 @@
 #include <thread>
 #include <vector>
 
-#include "hermes/hermes.hpp"
+#include "core/config.hpp"
+#include "core/distributed_store.hpp"
+#include "core/manifest.hpp"
+#include "index/ann_index.hpp"
+#include "index/ivf_index.hpp"
+#include "obs/exporter.hpp"
+#include "obs/metrics.hpp"
+#include "obs/perf.hpp"
+#include "obs/trace.hpp"
+#include "serve/shard_server.hpp"
 #include "util/argparse.hpp"
+#include "util/logging.hpp"
+#include "workload/corpus.hpp"
 
 namespace {
 
