@@ -5,8 +5,8 @@
  *
  * Builds one shard-sized index, saves it in the v3 on-disk format, then
  * times the three ways a restarted process can reach "ready": retrain +
- * re-add from raw embeddings (the seed-flag path hermes_shard uses
- * without --index-file), heap reload (IvfIndex::load — one full copy of
+ * re-add from raw embeddings (what a shard without saved index files
+ * would pay), heap reload (IvfIndex::load — one full copy of
  * the file), and the zero-copy mmap open (IvfIndex::openMapped — header
  * + centroids only, lists faulted on demand). It then measures
  * first-batch and steady-state search latency through the heap and

@@ -6,40 +6,39 @@
  *
  * Usage: serving_demo [--flag=value ...]; --help lists the flags.
  *
- * --index-dir=DIR loads the store from a hermes_build_index deployment
- * manifest instead of partitioning and training at startup — the
- * "build once, serve many" path. Cluster indices are opened as
- * zero-copy mmap views (--index-heap=1 copies them to heap instead),
- * so a restart is ready in milliseconds regardless of store size. The
- * embedding dim and cluster count come from the manifest; the corpus
- * is still synthesized (with the manifest's dim) for query synthesis,
- * so build the deployment from the same corpus flags for meaningful
- * recall. Incompatible with --remote-nodes, which builds no store.
+ * --index-dir=DIR names a deployment built by hermes_build_index, whose
+ * manifest.txt is then the one description of the store: the cluster
+ * indices are opened as zero-copy mmap views (--index-heap=1 copies
+ * them to heap instead), so a restart is ready in milliseconds
+ * regardless of store size, and the corpus that queries are drawn from
+ * is regenerated from the manifest's recipe. Corpus flags (--num-docs,
+ * --dim, --nlist) given with --index-dir are a usage error (exit 2); a
+ * deployment built from an embedding file has no recipe and exits 1.
  *
  * --remote-nodes switches the broker to the out-of-process fleet: one
- * RemoteNodeClient per listed hermes_shard endpoint (in cluster order)
- * instead of in-process worker nodes. The demo then builds no store of
- * its own — only the corpus for query synthesis — and num_clusters
- * becomes the endpoint count, so launch the shards with a matching
- * --clusters (and matching corpus flags). The fault-injection flags
- * are ignored in this mode; inject faults on the shard processes
- * instead. On an identical fleet the merged results are bit-identical
- * to the in-process run.
+ * RemoteNodeClient per listed hermes_shard endpoint instead of
+ * in-process worker nodes, serving the deployment --index-dir names
+ * (required). Untagged endpoints serve clusters 0, 1, ... in order. At
+ * connect each endpoint's Health node id and dim must match its cluster
+ * and the manifest, or the demo exits 1 naming the endpoint. The
+ * fault-injection flags are ignored in this mode; inject faults on the
+ * shard processes instead. The merged results are bit-identical to the
+ * in-process --index-dir run.
  *
  * Replication and skew-aware routing: each endpoint may carry an
  * explicit cluster assignment, `host:port@cluster` (all endpoints or
  * none) — listing two endpoints with the same cluster makes them
- * replicas of that cluster, served by bit-identical hermes_shard
- * processes (same corpus flags + --cluster, see hermes_shard
- * --replica). In-process, --replicate=c:r,... spins up r worker nodes
- * over cluster c's shard index, and --auto-replicate=N lets the broker
- * add up to N replicas itself from its live load report
- * (--auto-replicate-after delays the decision until the Zipf fit has
- * data; default 2 s). Replicated clusters are routed by
- * power-of-two-choices over live queue depth, and straggling sample
- * probes are hedged to a second replica (--hedge=0 disables) — the
- * run summary prints the hedge counters, and any query returning
- * fewer than the requested top-k is counted as "short". Hedging (and
+ * replicas of that cluster, served by identical hermes_shard processes
+ * (same --index-dir and --cluster, see hermes_shard --replica).
+ * In-process, --replicate=c:r,... spins up r worker nodes over cluster
+ * c's shard index, and --auto-replicate=N lets the broker add up to N
+ * replicas itself from its live load report (--auto-replicate-after
+ * delays the decision until the Zipf fit has data; default 2 s).
+ * Replicated clusters are routed by power-of-two-choices over live
+ * queue depth, and straggling sample probes are hedged to a second
+ * replica (--hedge=0 disables) — the run summary prints the hedge
+ * counters, and any query returning fewer than the requested top-k is
+ * counted as "short". Hedging (and
  * the per-node retry ladder) needs a finite node deadline:
  * --deadline-ms sets it explicitly (it is otherwise 0 = infinite
  * unless --drop-prob implies one), and for remote fleets it also
@@ -87,7 +86,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/distributed_store.hpp"
 #include "core/manifest.hpp"
 #include "obs/exporter.hpp"
@@ -158,13 +156,19 @@ main(int argc, char **argv)
         args.getInt<std::size_t>("queries-per-client", 1);
     const double drop_prob = args.getDouble("drop-prob", 0.0, 1.0);
     const double delay_ms = args.getDouble("delay-ms", 0.0);
-    auto dim = args.getInt<std::size_t>("dim", 1);
+    const auto dim = args.getInt<std::size_t>("dim", 1);
     const auto nlist = args.getInt<std::size_t>("nlist");
     const std::string replicate = args.get("replicate");
     const auto auto_replicate = args.getInt<std::size_t>("auto-replicate");
     const double auto_replicate_after =
         args.getDouble("auto-replicate-after", 0.0);
     const std::string index_dir = args.get("index-dir");
+    if (!index_dir.empty())
+        for (const char *flag : {"num-docs", "dim", "nlist"})
+            if (args.given(flag))
+                args.fail(std::string("--") + flag +
+                          " describes the store, which --index-dir "
+                          "reads from the deployment's manifest");
     const bool index_heap = args.getBool("index-heap");
     const int http_port = args.getInt<int>("http-port", -1, 65535);
     const double duration = args.getDouble("duration", 0.0);
@@ -204,9 +208,9 @@ main(int argc, char **argv)
     if (tagged != 0 && tagged != remotes.size())
         args.fail("either every --remote-nodes endpoint carries @cluster "
                   "or none do");
-    if (!index_dir.empty() && !remotes.empty())
-        args.fail("--index-dir and --remote-nodes are mutually exclusive "
-                  "(remote fleets load their own index files)");
+    if (!remotes.empty() && index_dir.empty())
+        args.fail("--remote-nodes needs --index-dir, the deployment the "
+                  "shards serve");
 
     serve::BrokerConfig broker_config;
     broker_config.node.batch_window_us =
@@ -226,15 +230,6 @@ main(int argc, char **argv)
     if (!replicate.empty() &&
         !serve::ReplicaMap::parseSpec(replicate, broker_config.replicate))
         args.fail("bad --replicate spec (want c:r,c:r,...): " + replicate);
-    if (tagged > 0) {
-        serve::ReplicaMap map;
-        for (std::size_t i = 0; i < remotes.size(); ++i)
-            map.assign(endpoint_clusters[i], static_cast<std::uint32_t>(i));
-        if (!map.complete())
-            args.fail("--remote-nodes cluster tags must cover every "
-                      "cluster from 0 up to the highest tag");
-        broker_config.replica_map = std::move(map);
-    }
 
     if (args.getBool("perf"))
         obs::setPerfEnabled(true);
@@ -242,34 +237,51 @@ main(int argc, char **argv)
     if (!trace_out.empty())
         obs::TraceRecorder::instance().start(trace_sample);
 
-    // A deployment manifest pins the store geometry; the corpus below
-    // is then only synthesized for query generation and must match the
-    // manifest's embedding dim.
+    // With --index-dir the manifest describes the store: its geometry,
+    // and the recipe the query corpus is regenerated from.
+    workload::CorpusConfig cc;
+    cc.num_docs = num_docs;
+    cc.dim = dim;
+    cc.num_topics = 30;
     std::optional<core::Manifest> manifest;
     if (!index_dir.empty()) {
         manifest = core::loadOrFatal(
             [&] { return core::Manifest::load(index_dir); });
-        dim = manifest->dim;
+        if (!manifest->recipe)
+            HERMES_FATAL("invalid input: ", index_dir, " was built from "
+                         "an embedding file: no corpus recipe to draw "
+                         "queries from");
+        cc = *manifest->recipe;
     }
-
-    // Build the corpus (and, when serving in-process, the store).
-    workload::CorpusConfig cc;
-    cc.num_docs = num_docs;
-    cc.dim = dim;
-    cc.num_topics = core::kDemoTopics;
+    if (!remotes.empty()) {
+        serve::ReplicaMap map;
+        for (std::size_t i = 0; i < remotes.size(); ++i)
+            map.assign(endpoint_clusters[i], static_cast<std::uint32_t>(i));
+        if (!map.complete() || map.numClusters() != manifest->num_clusters)
+            args.fail("--remote-nodes must cover each of the " +
+                      std::to_string(manifest->num_clusters) +
+                      " clusters of " + index_dir);
+        broker_config.replica_map = std::move(map);
+    }
     auto corpus = workload::generateCorpus(cc);
 
-    std::size_t remote_clusters = 0;
-    for (std::uint32_t c : endpoint_clusters)
-        remote_clusters = std::max<std::size_t>(remote_clusters, c + 1);
-
-    core::HermesConfig config = core::demoStoreConfig(
-        manifest ? manifest->num_clusters
-                 : (remotes.empty() ? 10 : remote_clusters),
-        nlist);
+    // The demo's search geometry; a loaded store takes its cluster
+    // count and codec from the manifest.
+    core::HermesConfig config;
+    config.num_clusters = manifest ? manifest->num_clusters : 10;
+    config.clusters_to_search =
+        std::min<std::size_t>(3, config.num_clusters);
+    config.sample_nprobe = 4;
+    config.deep_nprobe = 32;
+    config.partition.seeds_to_try = 3;
+    config.nlist_per_cluster = nlist;
     std::optional<core::DistributedStore> store;
     util::Timer store_timer;
-    if (manifest) {
+    if (!manifest) {
+        store = core::loadOrFatal([&] {
+            return core::DistributedStore::build(corpus.embeddings, config);
+        });
+    } else if (remotes.empty()) { // a remote fleet's shards hold the store
         store = core::loadOrFatal([&] {
             return core::loadStore(index_dir, *manifest, config,
                                    index_heap
@@ -278,14 +290,9 @@ main(int argc, char **argv)
         });
         config = store->config();
         std::printf("loaded %zu %s indices from %s in %.1f ms (%s)\n",
-                    store->numClusters(), store->config().codec.c_str(),
-                    index_dir.c_str(),
-                    store_timer.elapsedSeconds() * 1e3,
+                    store->numClusters(), config.codec.c_str(),
+                    index_dir.c_str(), store_timer.elapsedSeconds() * 1e3,
                     index_heap ? "heap copies" : "zero-copy mmap");
-    } else if (remotes.empty()) {
-        store = core::loadOrFatal([&] {
-            return core::DistributedStore::build(corpus.embeddings, config);
-        });
     }
 
     workload::QueryConfig qc;
@@ -312,9 +319,8 @@ main(int argc, char **argv)
             auto client =
                 std::make_unique<serve::RemoteNodeClient>(std::move(ro));
             // Wait briefly for the shard to answer health — fleets come
-            // up process by process — then fail loudly on a dim
-            // mismatch, which would otherwise surface as per-query
-            // BadRequest noise.
+            // up process by process — then refuse a shard serving another
+            // cluster or dim than the manifest puts in its slot.
             serve::rpc::HealthResponse health;
             bool up = false;
             for (int attempt = 0; attempt < 20 && !up; ++attempt) {
@@ -323,20 +329,15 @@ main(int argc, char **argv)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(250));
             }
-            if (!up) {
-                std::fprintf(stderr, "shard %s unreachable\n",
-                             endpoint.c_str());
-                return 1;
-            }
-            if (health.dim != dim) {
-                std::fprintf(stderr,
-                             "shard %s serves dim %llu, demo runs dim "
-                             "%zu — corpus flags must match\n",
-                             endpoint.c_str(),
-                             static_cast<unsigned long long>(health.dim),
-                             dim);
-                return 1;
-            }
+            if (!up)
+                HERMES_FATAL("shard ", endpoint, " unreachable");
+            if (health.node_id != endpoint_clusters[c] ||
+                health.dim != manifest->dim)
+                HERMES_FATAL("shard ", endpoint, " serves cluster ",
+                             health.node_id, " at dim ", health.dim,
+                             ", but is listed as cluster ",
+                             endpoint_clusters[c], " of ", index_dir,
+                             " (dim ", manifest->dim, ")");
             shard_sizes[endpoint_clusters[c]] =
                 static_cast<std::size_t>(health.shard_vectors);
             nodes.push_back(std::move(client));

@@ -77,16 +77,5 @@ struct HermesConfig
     void validate() const;
 };
 
-/** Latent topics of the demo corpus (serving_demo, hermes_shard). */
-inline constexpr std::size_t kDemoTopics = 30;
-
-/**
- * Store geometry of the demo fleet. serving_demo and hermes_shard both
- * build from it, so shards started with the demo's corpus flags hold
- * exactly the in-process store and a remote run merges bit-identically.
- */
-HermesConfig demoStoreConfig(std::size_t num_clusters,
-                             std::size_t nlist_per_cluster);
-
 } // namespace core
 } // namespace hermes

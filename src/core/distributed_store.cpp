@@ -24,17 +24,18 @@ HermesConfig::validate() const
                    "HermesConfig: nProbe values must be >= 1");
 }
 
-HermesConfig
-demoStoreConfig(std::size_t num_clusters, std::size_t nlist_per_cluster)
+index::IvfConfig
+clusterIvfConfig(const HermesConfig &config, std::size_t c,
+                 std::size_t cluster_size)
 {
-    HermesConfig config;
-    config.num_clusters = num_clusters;
-    config.clusters_to_search = std::min<std::size_t>(3, num_clusters);
-    config.sample_nprobe = 4;
-    config.deep_nprobe = 32;
-    config.partition.seeds_to_try = 3;
-    config.nlist_per_cluster = nlist_per_cluster;
-    return config;
+    index::IvfConfig ivf;
+    ivf.codec = config.codec;
+    ivf.nlist = config.nlist_per_cluster
+        ? config.nlist_per_cluster
+        : index::IvfIndex::suggestedNlist(cluster_size);
+    ivf.nlist = std::min(ivf.nlist, cluster_size);
+    ivf.seed = 0x1d10 + c;
+    return ivf;
 }
 
 DistributedStore
@@ -70,16 +71,9 @@ DistributedStore::build(const vecstore::Matrix &data,
         for (std::size_t row : members)
             ids.push_back(static_cast<vecstore::VecId>(row));
 
-        index::IvfConfig ivf;
-        ivf.codec = config.codec;
-        ivf.nlist = config.nlist_per_cluster
-            ? config.nlist_per_cluster
-            : index::IvfIndex::suggestedNlist(members.size());
-        ivf.nlist = std::min(ivf.nlist, members.size());
-        ivf.seed = 0x1d10 + c;
-
         auto idx = std::make_unique<index::IvfIndex>(
-            data.dim(), vecstore::Metric::L2, ivf);
+            data.dim(), vecstore::Metric::L2,
+            clusterIvfConfig(config, c, members.size()));
         idx->train(cluster_data);
         idx->add(cluster_data, ids);
         store.indices_[c] = std::move(idx);
@@ -94,16 +88,19 @@ DistributedStore::assemble(
     vecstore::Matrix centroids)
 {
     config.validate();
-    HERMES_ASSERT(indices.size() == config.num_clusters,
-                  "assemble: expected ", config.num_clusters,
-                  " indices, got ", indices.size());
-    HERMES_ASSERT(centroids.rows() == config.num_clusters,
-                  "assemble: centroid count mismatch");
+    HERMES_REQUIRE(indices.size() == config.num_clusters,
+                   "assemble: expected ", config.num_clusters,
+                   " indices, got ", indices.size());
+    HERMES_REQUIRE(centroids.rows() == config.num_clusters,
+                   "assemble: expected ", config.num_clusters,
+                   " centroids, got ", centroids.rows());
     for (std::size_t c = 0; c < indices.size(); ++c) {
         HERMES_ASSERT(indices[c] != nullptr && indices[c]->isTrained(),
                       "assemble: cluster ", c, " index missing/untrained");
-        HERMES_ASSERT(indices[c]->dim() == centroids.dim(),
-                      "assemble: cluster ", c, " dim mismatch");
+        HERMES_REQUIRE(indices[c]->dim() == centroids.dim(),
+                       "assemble: cluster ", c, " has dim ",
+                       indices[c]->dim(), ", centroids have dim ",
+                       centroids.dim());
     }
 
     DistributedStore store;

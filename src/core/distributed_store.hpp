@@ -16,6 +16,11 @@
 namespace hermes {
 namespace core {
 
+/** IVF config of cluster @p c of @p cluster_size vectors; the in-memory
+ *  and streaming builds share it, so their files are byte-identical. */
+index::IvfConfig clusterIvfConfig(const HermesConfig &config, std::size_t c,
+                                  std::size_t cluster_size);
+
 /**
  * A set of per-cluster IVF indices plus the routing metadata (cluster
  * centroids) needed to direct queries.
@@ -40,6 +45,10 @@ class DistributedStore
      * disk by the tools/ binaries). The returned store's partitioning()
      * diagnostics carry sizes only — per-row membership lists are not
      * recoverable from serialized indices.
+     *
+     * Throws std::invalid_argument when the index or centroid count
+     * differs from config.num_clusters or an index's dim differs from
+     * the centroids'.
      *
      * @param config    Hermes configuration (num_clusters must match).
      * @param indices   One trained IVF index per cluster.

@@ -20,6 +20,10 @@ Manifest::save(const std::filesystem::path &dir) const
     out << "centroids=" << centroids_file << '\n';
     for (std::size_t c = 0; c < cluster_files.size(); ++c)
         out << "cluster_" << c << '=' << cluster_files[c] << '\n';
+    if (recipe)
+        out << "num_docs=" << recipe->num_docs << "\nnum_topics="
+            << recipe->num_topics << "\ncorpus_seed=" << recipe->seed
+            << '\n';
     out.close();
     if (!out)
         throw util::FormatError(util::FormatErrorCode::Io,
@@ -70,7 +74,29 @@ Manifest::load(const std::filesystem::path &dir)
     manifest.centroids_file = get("centroids");
     for (std::size_t c = 0; c < manifest.num_clusters; ++c)
         manifest.cluster_files.push_back(get("cluster_" + std::to_string(c)));
+    if (kv.count("num_docs") + kv.count("num_topics") +
+            kv.count("corpus_seed") != 0) {
+        manifest.recipe.emplace();
+        manifest.recipe->num_docs = count("num_docs");
+        manifest.recipe->dim = manifest.dim;
+        manifest.recipe->num_topics = count("num_topics");
+        manifest.recipe->seed = count("corpus_seed");
+    }
     return manifest;
+}
+
+std::unique_ptr<index::IvfIndex>
+loadClusterIndex(const std::filesystem::path &dir, const Manifest &manifest,
+                 std::size_t c, StoreLoadMode mode,
+                 const index::IvfIndex::MmapOptions &options)
+{
+    const std::string path = (dir / manifest.cluster_files[c]).string();
+    auto index = mode == StoreLoadMode::kMapped
+                     ? index::IvfIndex::openMapped(path, options)
+                     : index::IvfIndex::load(path);
+    HERMES_REQUIRE(index->dim() == manifest.dim, path, " has dim ",
+                   index->dim(), ", the manifest says ", manifest.dim);
+    return index;
 }
 
 DistributedStore
@@ -80,14 +106,14 @@ loadStore(const std::filesystem::path &dir, const Manifest &manifest,
     config.num_clusters = manifest.num_clusters;
     config.codec = manifest.codec;
     std::vector<std::unique_ptr<index::IvfIndex>> indices;
-    for (const auto &file : manifest.cluster_files) {
-        const std::string path = (dir / file).string();
-        indices.push_back(mode == StoreLoadMode::kMapped
-                              ? index::IvfIndex::openMapped(path)
-                              : index::IvfIndex::load(path));
-    }
-    auto centroids =
-        vecstore::Matrix::load((dir / manifest.centroids_file).string());
+    for (std::size_t c = 0; c < manifest.num_clusters; ++c)
+        indices.push_back(loadClusterIndex(dir, manifest, c, mode));
+    const std::string centroids_path =
+        (dir / manifest.centroids_file).string();
+    auto centroids = vecstore::Matrix::load(centroids_path);
+    HERMES_REQUIRE(centroids.dim() == manifest.dim, centroids_path,
+                   " has dim ", centroids.dim(), ", the manifest says ",
+                   manifest.dim);
     return DistributedStore::assemble(config, std::move(indices),
                                       std::move(centroids));
 }

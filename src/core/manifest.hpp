@@ -9,6 +9,7 @@
 #pragma once
 
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/distributed_store.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
+#include "workload/corpus.hpp"
 
 namespace hermes {
 namespace core {
@@ -41,6 +43,15 @@ struct Manifest
     std::vector<std::string> cluster_files;
 
     /**
+     * Recipe of a synthesized corpus, from which serving_demo
+     * regenerates it; empty for a corpus loaded from a file. Only
+     * num_docs, num_topics and seed are stored (keys num_docs,
+     * num_topics, corpus_seed): dim is the manifest's and every other
+     * field keeps its default.
+     */
+    std::optional<workload::CorpusConfig> recipe;
+
+    /**
      * Write to @p dir/manifest.txt.
      * @throws util::FormatError (Io) when the file cannot be written.
      */
@@ -49,7 +60,8 @@ struct Manifest
     /**
      * Load from @p dir/manifest.txt.
      * @throws util::FormatError: Io when the file is missing, Corrupt
-     *         for a missing key or a count that is not a number.
+     *         for a missing key, a count that is not a number, or a
+     *         partial corpus recipe (its keys come all or none).
      */
     static Manifest load(const std::filesystem::path &dir);
 };
@@ -68,10 +80,22 @@ enum class StoreLoadMode
 };
 
 /**
+ * Open the index file of cluster @p c < manifest.num_clusters.
+ * @throws util::FormatError for a bad file, std::invalid_argument when
+ *         the index's dim is not the manifest's.
+ */
+std::unique_ptr<index::IvfIndex>
+loadClusterIndex(const std::filesystem::path &dir, const Manifest &manifest,
+                 std::size_t c, StoreLoadMode mode,
+                 const index::IvfIndex::MmapOptions &options = {});
+
+/**
  * Reload a DistributedStore from a manifest directory.
  *
  * @param mode kMapped opens every cluster index as a zero-copy mmap
  *             view; kHeap copies them into mutable heap storage.
+ * @throws std::invalid_argument when an index or the centroids disagree
+ *         with the manifest's dim or cluster count.
  */
 DistributedStore loadStore(const std::filesystem::path &dir,
                            const Manifest &manifest, HermesConfig config,

@@ -53,6 +53,10 @@ struct SearchParams
      * tests do this to pin the batched arm).
      */
     std::size_t batch_min_scan_floats = std::size_t(1) << 18;
+
+    /** Field-wise equality: requests with equal params (and k) can
+     *  share one searchBatch call. */
+    bool operator==(const SearchParams &) const = default;
 };
 
 /**

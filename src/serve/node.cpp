@@ -197,9 +197,8 @@ RetrievalNode::workerLoop()
         };
 
         // Group surviving requests by search parameters: requests that
-        // share (k, nprobe, ef_search, prune_ratio) can ride one
-        // list-major searchBatch call. First-occurrence order keeps the
-        // schedule deterministic.
+        // share k and SearchParams can ride one list-major searchBatch
+        // call. First-occurrence order keeps the schedule deterministic.
         struct Group
         {
             std::size_t k;
@@ -213,12 +212,7 @@ RetrievalNode::workerLoop()
             const auto &request = batch[i];
             Group *group = nullptr;
             for (auto &g : groups) {
-                if (g.k == request.k &&
-                    g.params.nprobe == request.params.nprobe &&
-                    g.params.ef_search == request.params.ef_search &&
-                    g.params.prune_ratio == request.params.prune_ratio &&
-                    g.params.batch_min_scan_floats ==
-                        request.params.batch_min_scan_floats) {
+                if (g.k == request.k && g.params == request.params) {
                     group = &g;
                     break;
                 }

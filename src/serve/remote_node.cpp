@@ -266,10 +266,7 @@ RemoteNodeClient::clientStats() const
 bool
 RemoteNodeClient::compatible(const Pending &a, const Pending &b)
 {
-    return a.k == b.k && a.params.nprobe == b.params.nprobe &&
-        a.params.ef_search == b.params.ef_search &&
-        a.params.prune_ratio == b.params.prune_ratio &&
-        a.params.batch_min_scan_floats == b.params.batch_min_scan_floats &&
+    return a.k == b.k && a.params == b.params &&
         a.query.size() == b.query.size();
 }
 

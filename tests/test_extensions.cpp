@@ -157,8 +157,9 @@ TEST_P(PruneRatioSweep, ReducesWorkKeepsQuality)
     double pruned_recall = eval::meanRecallAtK(pruned_results, data.truth,
                                                10);
     // Generous ratios must stay close to unpruned quality.
-    if (ratio >= 3.0)
+    if (ratio >= 3.0) {
         EXPECT_GT(pruned_recall, plain_recall - 0.08);
+    }
     // Every query still probes at least its best list.
     EXPECT_GE(pruned_stats.lists_probed, data.queries.rows());
 }

@@ -588,8 +588,9 @@ TEST(HermesBroker, DeadReplicaFailsOverToSurvivor)
         auto stats = broker.stats();
         EXPECT_EQ(stats.queries, 12u);
         EXPECT_GT(stats.hedges_issued + stats.timeouts, 0u);
-        if (!hedged)
+        if (!hedged) {
             EXPECT_EQ(stats.hedges_issued, 0u);
+        }
     }
 }
 

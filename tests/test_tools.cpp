@@ -175,6 +175,38 @@ TEST(Manifest, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.dim, 16u);
     EXPECT_EQ(loaded.codec, "SQ4");
     EXPECT_EQ(loaded.cluster_files, manifest.cluster_files);
+    EXPECT_FALSE(loaded.recipe.has_value());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Manifest, RecipeRoundTrip)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_recipe";
+    std::filesystem::create_directories(dir);
+
+    core::Manifest manifest;
+    manifest.num_clusters = 1;
+    manifest.dim = 8;
+    manifest.cluster_files = {"a.hivf"};
+    workload::CorpusConfig cc;
+    cc.num_docs = 1234;
+    cc.dim = 8;
+    cc.num_topics = 7;
+    cc.seed = 0xfffffffffffffff1ull;
+    manifest.recipe = cc;
+    manifest.save(dir);
+
+    auto loaded = core::Manifest::load(dir);
+    ASSERT_TRUE(loaded.recipe.has_value());
+    EXPECT_EQ(loaded.recipe->num_docs, 1234u);
+    EXPECT_EQ(loaded.recipe->dim, 8u);
+    EXPECT_EQ(loaded.recipe->num_topics, 7u);
+    EXPECT_EQ(loaded.recipe->seed, 0xfffffffffffffff1ull);
+    // Everything the manifest does not store is the synthesis default.
+    const workload::CorpusConfig defaults;
+    EXPECT_EQ(loaded.recipe->topic_spread, defaults.topic_spread);
+    EXPECT_EQ(loaded.recipe->topic_zipf, defaults.topic_zipf);
+    EXPECT_EQ(loaded.recipe->normalize, defaults.normalize);
     std::filesystem::remove_all(dir);
 }
 
@@ -199,6 +231,33 @@ manifestLoadError(const std::filesystem::path &dir, const std::string &text)
 const char kGoodManifest[] = "type=clustered\nnum_clusters=1\ndim=16\n"
                              "codec=SQ8\ncorpus=corpus.hmat\n"
                              "centroids=centroids.hmat\ncluster_0=a.hivf\n";
+
+TEST(Manifest, LoadsWithoutRecipe)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_no_recipe";
+    std::filesystem::create_directories(dir);
+    {
+        std::ofstream out(dir / "manifest.txt");
+        out << kGoodManifest;
+    }
+    auto loaded = core::Manifest::load(dir);
+    EXPECT_EQ(loaded.dim, 16u);
+    EXPECT_FALSE(loaded.recipe.has_value());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Manifest, PartialRecipeThrowsCorrupt)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_half_recipe";
+    EXPECT_EQ(manifestLoadError(dir, std::string(kGoodManifest) +
+                                         "num_docs=100\nnum_topics=3\n"),
+              util::FormatErrorCode::Corrupt);
+    EXPECT_EQ(manifestLoadError(dir, std::string(kGoodManifest) +
+                                         "num_docs=100\nnum_topics=3\n"
+                                         "corpus_seed=x\n"),
+              util::FormatErrorCode::Corrupt);
+    std::filesystem::remove_all(dir);
+}
 
 TEST(Manifest, MissingFileThrowsIo)
 {
@@ -297,16 +356,96 @@ TEST(StoreAssembly, ReloadedStoreSearchesIdentically)
     std::filesystem::remove_all(dir);
 }
 
-TEST(StoreAssembly, MismatchedCountsDie)
+TEST(StoreAssembly, MismatchedCountsThrow)
 {
     core::HermesConfig config;
     config.num_clusters = 2;
     config.clusters_to_search = 1;
     std::vector<std::unique_ptr<index::IvfIndex>> none;
     vecstore::Matrix centroids(2, 4);
-    EXPECT_DEATH(core::DistributedStore::assemble(config, std::move(none),
-                                                  std::move(centroids)),
-                 "expected");
+    try {
+        (void)core::DistributedStore::assemble(config, std::move(none),
+                                               std::move(centroids));
+        ADD_FAILURE() << "assembled a store with no indices";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("expected 2 indices, got 0"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** Build a small store of @p clusters clusters and write it to @p dir
+ *  the way hermes_build_index does (without the corpus file). */
+core::Manifest
+writeDeployment(const std::filesystem::path &dir, std::size_t clusters)
+{
+    workload::CorpusConfig cc;
+    cc.num_docs = 600;
+    cc.dim = 8;
+    cc.num_topics = 6;
+    auto corpus = workload::generateCorpus(cc);
+    core::HermesConfig config;
+    config.num_clusters = clusters;
+    config.clusters_to_search = 1;
+    config.partition.seeds_to_try = 1;
+    auto store = core::DistributedStore::build(corpus.embeddings, config);
+
+    std::filesystem::create_directories(dir);
+    core::Manifest manifest;
+    manifest.num_clusters = clusters;
+    manifest.dim = cc.dim;
+    store.centroids().save((dir / manifest.centroids_file).string());
+    for (std::size_t c = 0; c < clusters; ++c) {
+        std::string file = "cluster_" + std::to_string(c) + ".hivf";
+        store.clusterIndex(c).save((dir / file).string());
+        manifest.cluster_files.push_back(file);
+    }
+    manifest.save(dir);
+    return manifest;
+}
+
+/** The std::invalid_argument message loadStore throws for @p dir. */
+std::string
+loadStoreRejection(const std::filesystem::path &dir)
+{
+    core::HermesConfig config;
+    config.clusters_to_search = 1;
+    try {
+        (void)core::loadStore(dir, core::Manifest::load(dir), config,
+                              core::StoreLoadMode::kMapped);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "loaded " << dir;
+    return "";
+}
+
+TEST(StoreAssembly, CentroidsFromAnotherDeploymentThrow)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_mixed_a";
+    auto other = std::filesystem::temp_directory_path() / "hermes_mixed_b";
+    writeDeployment(dir, 2);
+    writeDeployment(other, 3);
+    std::filesystem::copy_file(other / "centroids.hmat",
+                               dir / "centroids.hmat",
+                               std::filesystem::copy_options::
+                                   overwrite_existing);
+    EXPECT_NE(loadStoreRejection(dir).find("expected 2 centroids, got 3"),
+              std::string::npos);
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(other);
+}
+
+TEST(StoreAssembly, ManifestDimDisagreeingWithIndicesThrows)
+{
+    auto dir = std::filesystem::temp_directory_path() / "hermes_dim_lie";
+    core::Manifest manifest = writeDeployment(dir, 2);
+    manifest.dim = 16;
+    manifest.save(dir);
+    EXPECT_NE(loadStoreRejection(dir).find(
+                  "has dim 8, the manifest says 16"),
+              std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

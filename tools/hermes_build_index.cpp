@@ -5,7 +5,11 @@
  * Synthesizes a datastore (or loads a saved embedding matrix), partitions
  * it with the requested scheme, builds the per-cluster IVF indices, and
  * writes everything plus a manifest to the output directory so the
- * profiling and accuracy tools can reload the deployment.
+ * profiling and accuracy tools, hermes_shard and serving_demo can reload
+ * the deployment. The manifest is the one description of a deployment:
+ * for a synthesized corpus it also records the recipe (--num-docs,
+ * --num-topics, --seed), from which serving_demo regenerates the corpus
+ * to draw its queries.
  *
  * --stream=1 switches per-cluster construction to the bounded-memory
  * IvfStreamWriter path: each cluster trains a small prototype (centroids
@@ -20,6 +24,7 @@
 
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 #include <sys/resource.h>
 
@@ -40,6 +45,40 @@ peakRssMib()
     struct rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     return static_cast<double>(usage.ru_maxrss) / 1024.0; // KiB on Linux
+}
+
+/**
+ * Train cluster @p c's prototype on its @p members rows of @p data, then
+ * stream the rows to @p path in batches of @p batch_rows, so encoded
+ * lists are never resident (the writer's add() uses @p pool).
+ */
+void
+streamCluster(const hermes::vecstore::Matrix &data,
+              const std::vector<std::size_t> &members,
+              const hermes::core::HermesConfig &config, std::size_t c,
+              const std::string &path,
+              const hermes::index::IvfStreamWriter::Options &sopts,
+              std::size_t batch_rows, hermes::util::ThreadPool &pool)
+{
+    using namespace hermes;
+    HERMES_REQUIRE(!members.empty(), "partitioning produced empty cluster ",
+                   c);
+    // The recipe DistributedStore::build uses, so the streamed file is
+    // byte-identical to the in-memory build's save() of the same cluster.
+    index::IvfIndex prototype(
+        data.dim(), vecstore::Metric::L2,
+        core::clusterIvfConfig(config, c, members.size()));
+    prototype.train(data.gather(members)); // rows freed before streaming
+    index::IvfStreamWriter writer(prototype, path, sopts);
+    for (std::size_t at = 0; at < members.size(); at += batch_rows) {
+        const std::size_t n = std::min(batch_rows, members.size() - at);
+        std::vector<std::size_t> rows(
+            members.begin() + static_cast<std::ptrdiff_t>(at),
+            members.begin() + static_cast<std::ptrdiff_t>(at + n));
+        std::vector<vecstore::VecId> ids(rows.begin(), rows.end());
+        writer.add(data.gather(rows), ids, &pool);
+    }
+    writer.finish();
 }
 
 /** Build and write the deployment; IO failures throw util::FormatError. */
@@ -106,101 +145,54 @@ build(const hermes::util::ArgParser &args)
                       " embeddings from ", args.get("corpus"));
     } else {
         data = workload::generateCorpus(cc).embeddings;
+        manifest.recipe = cc;
         HERMES_INFORM("synthesized ", data.rows(), " x ", data.dim(),
                       " embeddings (", cc.num_topics, " topics)");
     }
     manifest.dim = data.dim();
 
+    // --stream only partitions here; the loop builds one cluster at a
+    // time, which bounds memory.
     util::Timer timer;
+    std::optional<util::ThreadPool> pool; // build() brings its own
+    std::optional<core::DistributedStore> store;
+    cluster::Partitioning partition;
     if (stream) {
-        // Bounded-memory path: partition, then per cluster train a
-        // prototype and stream the rows through the spill-and-scatter
-        // writer. Clusters are built sequentially on purpose — the
-        // point is the memory ceiling, and the writer's add() still
-        // fans encode work across the pool.
         config.validate();
         HERMES_REQUIRE(data.rows() >= config.num_clusters,
                        "datastore smaller than cluster count (", data.rows(),
                        " rows, ", config.num_clusters, " clusters)");
         config.partition.num_partitions = config.num_clusters;
-        util::ThreadPool pool;
-        auto partition = cluster::partition(data, config.partition, &pool);
-
-        data.save((dir / manifest.corpus_file).string());
-        partition.centroids.save((dir / manifest.centroids_file).string());
-
-        std::uintmax_t index_bytes = 0;
-        for (std::size_t c = 0; c < config.num_clusters; ++c) {
-            const auto &members = partition.members[c];
-            HERMES_REQUIRE(!members.empty(),
-                           "partitioning produced empty cluster ", c);
-
-            // Identical config + seed to DistributedStore::build, so
-            // the streamed file is byte-identical to the in-memory
-            // build's save() of the same cluster.
-            index::IvfConfig ivf;
-            ivf.codec = config.codec;
-            ivf.nlist = config.nlist_per_cluster
-                ? config.nlist_per_cluster
-                : index::IvfIndex::suggestedNlist(members.size());
-            ivf.nlist = std::min(ivf.nlist, members.size());
-            ivf.seed = 0x1d10 + c;
-
-            index::IvfIndex prototype(data.dim(), vecstore::Metric::L2,
-                                      ivf);
-            {
-                vecstore::Matrix train_data = data.gather(members);
-                prototype.train(train_data);
-            } // training rows released before streaming starts
-
-            std::string file = "cluster_" + std::to_string(c) + ".hivf";
-            index::IvfStreamWriter writer(prototype,
-                                          (dir / file).string(), sopts);
-            for (std::size_t at = 0; at < members.size();
-                 at += batch_rows) {
-                const std::size_t n =
-                    std::min(batch_rows, members.size() - at);
-                std::vector<std::size_t> rows(
-                    members.begin() + static_cast<std::ptrdiff_t>(at),
-                    members.begin() + static_cast<std::ptrdiff_t>(at + n));
-                std::vector<vecstore::VecId> ids(rows.begin(), rows.end());
-                vecstore::Matrix batch = data.gather(rows);
-                writer.add(batch, ids, &pool);
-            }
-            writer.finish();
-            index_bytes += std::filesystem::file_size(dir / file);
-            manifest.cluster_files.push_back(file);
-        }
-        manifest.save(dir);
-
-        HERMES_INFORM("stream-built ", config.num_clusters, " ",
-                      manifest.codec, " indices in ",
-                      timer.elapsedSeconds(), " s (imbalance ",
-                      partition.imbalance.max_min_ratio, ")");
-        HERMES_INFORM("wrote deployment to ", dir.string(), " (",
-                      index_bytes / 1024 / 1024,
-                      " MiB of index files, peak RSS ", peakRssMib(),
-                      " MiB)");
-        return 0;
+        partition =
+            cluster::partition(data, config.partition, &pool.emplace());
+    } else {
+        store = core::DistributedStore::build(data, config);
     }
-
-    auto store = core::DistributedStore::build(data, config);
-    HERMES_INFORM("built ", store.numClusters(), " ", manifest.codec,
-                  " indices in ", timer.elapsedSeconds(), " s (imbalance ",
-                  store.partitioning().imbalance.max_min_ratio, ")");
+    const cluster::Partitioning &parts =
+        store ? store->partitioning() : partition;
 
     data.save((dir / manifest.corpus_file).string());
-    store.centroids().save((dir / manifest.centroids_file).string());
-    for (std::size_t c = 0; c < store.numClusters(); ++c) {
+    parts.centroids.save((dir / manifest.centroids_file).string());
+    std::uintmax_t index_bytes = 0;
+    for (std::size_t c = 0; c < config.num_clusters; ++c) {
         std::string file = "cluster_" + std::to_string(c) + ".hivf";
-        store.clusterIndex(c).save((dir / file).string());
+        if (store)
+            store->clusterIndex(c).save((dir / file).string());
+        else
+            streamCluster(data, parts.members[c], config, c,
+                          (dir / file).string(), sopts, batch_rows, *pool);
+        index_bytes += std::filesystem::file_size(dir / file);
         manifest.cluster_files.push_back(file);
     }
     manifest.save(dir);
 
+    HERMES_INFORM(stream ? "stream-built " : "built ", config.num_clusters,
+                  " ", manifest.codec, " indices in ",
+                  timer.elapsedSeconds(), " s (imbalance ",
+                  parts.imbalance.max_min_ratio, ")");
     HERMES_INFORM("wrote deployment to ", dir.string(), " (",
-                  store.memoryBytes() / 1024 / 1024,
-                  " MiB of indices, peak RSS ", peakRssMib(), " MiB)");
+                  index_bytes / 1024 / 1024, " MiB of index files, peak RSS ",
+                  peakRssMib(), " MiB)");
     return 0;
 }
 

@@ -1,34 +1,21 @@
 /**
  * @file
- * Shard-per-process serving: builds one cluster of the deterministic
- * demo store and serves it over the framed RPC protocol (ShardServer).
+ * Shard-per-process serving: serves cluster --cluster of a deployment
+ * built by hermes_build_index (--index-dir) over the framed RPC protocol
+ * (ShardServer). Usage: hermes_shard --index-dir=DIR --cluster=c
+ * [--flag=value ...]; --help lists the flags.
  *
- * A fleet is N of these plus a broker wired with --remote-nodes (see
- * serving_demo): every process regenerates the same corpus from the
- * same seed and partitions it with the same config, then keeps only its
- * --cluster slice — so the fleet's union is bit-identical to the
- * in-process store without any index files changing hands. Corpus and
- * partition flags must therefore match across the fleet and the broker.
+ * A fleet is one shard per cluster behind serving_demo --index-dir=DIR
+ * --remote-nodes=..., which checks each shard's Health node id (this
+ * --cluster) and dim at connect and merges bit-identically to its
+ * in-process --index-dir run. Shards with the same --index-dir and
+ * --cluster are replicas (serving_demo --remote-nodes=...@cluster);
+ * --replica=N only labels them in logs, the ready line and /shard.
  *
- * The same determinism makes replication free: two hermes_shard
- * processes with identical corpus flags and the same --cluster serve
- * bit-identical shards, so a broker may list both as replicas of that
- * cluster (serving_demo --remote-nodes=...@cluster) and route/hedge
- * between them without any result drift. --replica=N is a purely
- * cosmetic ordinal that distinguishes the copies in logs, the ready
- * line and /shard.
- *
- * Usage: hermes_shard --cluster=N [--flag=value ...]; --help lists the
- * flags.
- *
- * --index-file=PATH skips the in-process corpus + partition build and
- * serves a pre-built v3 index file instead: the file is opened as a
- * zero-copy mmap view (millisecond cold starts — the "build once,
- * serve many" path; see hermes_build_index). --index-heap=1 copies the
- * file into heap storage instead, --prefault=1 touches every mapped
- * page up front so first-query latency never pays demand faults. The
- * corpus/partition flags are ignored in this mode; --cluster only
- * labels the ready line, /shard and traces.
+ * The cluster file is opened as a zero-copy mmap view (header and
+ * centroids only), so a restart is ready in milliseconds regardless of
+ * shard size; --index-heap=1 copies it to heap instead, --prefault=1
+ * touches every mapped page up front.
  *
  * Prints one machine-parseable line once serving:
  *   hermes_shard ready cluster=<c> vectors=<n> port=<p>
@@ -54,18 +41,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/distributed_store.hpp"
 #include "core/manifest.hpp"
-#include "index/ann_index.hpp"
-#include "index/ivf_index.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
@@ -73,7 +54,6 @@
 #include "serve/shard_server.hpp"
 #include "util/argparse.hpp"
 #include "util/logging.hpp"
-#include "workload/corpus.hpp"
 
 namespace {
 
@@ -94,22 +74,15 @@ main(int argc, char **argv)
     util::setQuiet(true);
 
     util::ArgParser args("hermes_shard",
-                         "serve one cluster of the demo store over RPC");
+                         "serve one cluster of a built deployment over RPC");
+    args.addFlag("index-dir", "",
+                 "hermes_build_index deployment to serve (required)");
     args.addFlag("cluster", "", "cluster this shard serves (required)");
     args.addFlag("replica", "0", "replica ordinal, for labels only");
     args.addFlag("port", "0", "RPC port (0 = ephemeral)");
     args.addFlag("bind", "127.0.0.1", "bind address");
-    args.addFlag("index-file", "", "serve this pre-built v3 index file");
-    args.addFlag("index-heap", "0",
-                 "with --index-file, copy to heap instead of mmap");
-    args.addFlag("prefault", "0",
-                 "with --index-file, touch every mapped page up front");
-    args.addFlag("num-docs", "20000", "synthetic corpus size");
-    args.addFlag("dim", "32", "embedding dimensionality");
-    args.addFlag("topics", std::to_string(core::kDemoTopics),
-                 "latent topics in the corpus");
-    args.addFlag("clusters", "10", "clusters in the fleet");
-    args.addFlag("nlist", "0", "inverted lists per cluster (0 = sqrt(n))");
+    args.addFlag("index-heap", "0", "copy the index to heap instead of mmap");
+    args.addFlag("prefault", "0", "touch every mapped page up front");
     args.addFlag("batch-window-us", "0", "micro-batching window (us)");
     args.addFlag("max-batch", "0", "requests per batch (0 = node default)");
     args.addFlag("fail-prob", "0", "per-request failure probability");
@@ -129,29 +102,23 @@ main(int argc, char **argv)
     args.addFlag("perf", "0", "per-phase perf counters and RAPL energy");
     args.parse(argc, argv);
 
-    const std::string index_file = args.get("index-file");
-    const bool index_heap = args.getBool("index-heap");
-    index::IvfIndex::MmapOptions mopts;
-    mopts.prefault = args.getBool("prefault");
-    const auto clusters = args.getInt<std::size_t>("clusters", 1);
     if (!args.given("cluster"))
         args.fail("--cluster is required");
-    // With --index-file the cluster id only labels the shard.
-    const auto cluster = args.getInt<std::size_t>(
-        "cluster", 0,
-        index_file.empty() ? clusters - 1
-                           : std::numeric_limits<std::uint32_t>::max());
+    // Checked against the manifest's cluster count once it is read.
+    const auto cluster = args.getInt<std::size_t>("cluster");
+    const std::string index_dir = args.get("index-dir");
+    if (index_dir.empty())
+        args.fail("--index-dir is required");
+    const auto load_mode = args.getBool("index-heap")
+                               ? core::StoreLoadMode::kHeap
+                               : core::StoreLoadMode::kMapped;
+    index::IvfIndex::MmapOptions mopts;
+    mopts.prefault = args.getBool("prefault");
     const auto replica = args.getInt<std::size_t>("replica");
     const int http_port = args.getInt<int>("http-port", -1, 65535);
     std::string trace_out = args.get("trace-out");
     auto trace_sample = args.getInt<std::size_t>("trace-sample");
     std::string metrics_json = args.get("metrics-json");
-
-    workload::CorpusConfig cc;
-    cc.num_docs = args.getInt<std::size_t>("num-docs", 1);
-    cc.dim = args.getInt<std::size_t>("dim", 1);
-    cc.num_topics = args.getInt<std::size_t>("topics", 1);
-    const auto nlist = args.getInt<std::size_t>("nlist");
 
     serve::ShardServerOptions options;
     options.bind_address = args.get("bind");
@@ -202,30 +169,16 @@ main(int argc, char **argv)
         {"cluster", std::to_string(cluster), true},
     };
 
-    std::optional<core::DistributedStore> store;
-    std::unique_ptr<index::IvfIndex> loaded;
-    const index::AnnIndex *shard = nullptr;
-    if (!index_file.empty()) {
-        // Cold-start path: serve a pre-built v3 index file. The mmap
-        // open touches only the 256-byte header plus the tiny centroid
-        // section, so restart-to-ready is milliseconds regardless of
-        // shard size; scan kernels then run directly on mapped bytes.
-        loaded = core::loadOrFatal([&] {
-            return index_heap
-                       ? index::IvfIndex::load(index_file)
-                       : index::IvfIndex::openMapped(index_file, mopts);
-        });
-        shard = loaded.get();
-    } else {
-        // Same deterministic corpus + partition as serving_demo / the
-        // tests: matching flags on every process of the fleet reproduce
-        // the exact in-process store, which is what makes the
-        // out-of-process path bit-comparable.
-        auto corpus = workload::generateCorpus(cc);
-        store.emplace(core::DistributedStore::build(
-            corpus.embeddings, core::demoStoreConfig(clusters, nlist)));
-        shard = &store->clusterIndex(cluster);
-    }
+    const auto manifest =
+        core::loadOrFatal([&] { return core::Manifest::load(index_dir); });
+    if (cluster >= manifest.num_clusters)
+        args.fail("--cluster=" + std::to_string(cluster) + " is not in " +
+                  index_dir + ", which has " +
+                  std::to_string(manifest.num_clusters) + " clusters");
+    const auto shard = core::loadOrFatal([&] {
+        return core::loadClusterIndex(index_dir, manifest, cluster,
+                                      load_mode, mopts);
+    });
 
     serve::ShardServer server(*shard, options);
     if (!server.start())
